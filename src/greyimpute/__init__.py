@@ -1,10 +1,11 @@
 """Iterative kNN imputation for mixed-type tabular data.
 
-Five method variants over one engine: plain iterative kNN under the
-heterogeneous Euclidean/overlap metric, its class-relevance-weighted form,
-grey-relational kNN within classes, its inter-feature-weighted form, and
-class-relevance-weighted grey kNN. Plus generators and injectors for
-benchmark scenarios and an evaluation harness.
+Six method variants over one engine: the mean/mode baseline, plain
+iterative kNN under the heterogeneous Euclidean/overlap metric, its
+class-relevance-weighted form, grey-relational kNN within classes, its
+inter-feature-weighted form, and class-relevance-weighted grey kNN. Plus
+generators and injectors for benchmark scenarios and an evaluation
+harness.
 """
 
 from .dataset import (

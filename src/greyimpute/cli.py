@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: impute, mi, synth {cubes,mvn}, inject {mcar,mar}, benchmark,
-eval, rerun. Every run that writes files also writes a manifest
-(<output>.manifest.json) holding the fully resolved configuration and
-input digests; ``rerun <manifest>`` reproduces the run byte for byte.
+eval, validate, rerun. impute, synth, inject and benchmark also write a
+manifest (<output>.manifest.json) holding the fully resolved
+configuration and input digests; ``rerun <manifest>`` reproduces the run
+byte for byte.
 
 Exit codes: 0 success, 1 usage error, 2 data error. Diagnostics go to
 stderr; data only to the declared output files.

@@ -186,6 +186,31 @@ class RangeTable:
         spans = np.where(np.isnan(spans) | (spans == 0.0), 1.0, spans)
         return spans
 
+    def to_unit(self, values) -> np.ndarray:
+        """Map an ``(n, p)`` matrix of raw cells onto [0, 1].
+
+        A continuous cell x becomes (max - x) / (max - min), so the column
+        max maps to 0; a constant column maps to 0. Categorical columns
+        (NaN ranges) and NaN cells pass through unchanged.
+        """
+        out = np.array(values, dtype=float)
+        cols = ~np.isnan(self.maxs)
+        maxs, span = self.maxs[cols], self.maxs[cols] - self.mins[cols]
+        x = out[:, cols]
+        unit = np.where(span == 0.0, 0.0, (maxs - x) / np.where(span == 0.0, 1.0, span))
+        out[:, cols] = np.where(np.isnan(x), x, unit)
+        return out
+
+    def from_unit(self, values) -> np.ndarray:
+        """Invert :meth:`to_unit`: max - u * (max - min), with a constant
+        column mapped back to its max."""
+        out = np.array(values, dtype=float)
+        cols = ~np.isnan(self.maxs)
+        maxs, span = self.maxs[cols], self.maxs[cols] - self.mins[cols]
+        x = out[:, cols]
+        out[:, cols] = np.where(np.isnan(x), x, np.where(span == 0.0, maxs, maxs - x * span))
+        return out
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -247,34 +272,12 @@ def normalize(dataset: Dataset) -> tuple[Dataset, RangeTable]:
     RangeTable supports the inverse transform.
     """
     ranges = RangeTable.from_dataset(dataset)
-    cat = dataset.schema.categorical_mask
-    vals = dataset.values.copy()
-    for j in range(dataset.p):
-        if cat[j]:
-            continue
-        span = ranges.maxs[j] - ranges.mins[j]
-        obs = dataset.mask[:, j]
-        if span == 0.0:
-            vals[obs, j] = 0.0
-        else:
-            vals[obs, j] = (ranges.maxs[j] - vals[obs, j]) / span
-    return dataset.with_values(vals), ranges
+    return dataset.with_values(ranges.to_unit(dataset.values)), ranges
 
 
 def denormalize(dataset: Dataset, ranges: RangeTable) -> Dataset:
     """Invert :func:`normalize` using the recorded column ranges."""
-    cat = dataset.schema.categorical_mask
-    vals = dataset.values.copy()
-    for j in range(dataset.p):
-        if cat[j]:
-            continue
-        span = ranges.maxs[j] - ranges.mins[j]
-        obs = dataset.mask[:, j]
-        if span == 0.0:
-            vals[obs, j] = ranges.maxs[j]
-        else:
-            vals[obs, j] = ranges.maxs[j] - vals[obs, j] * span
-    return dataset.with_values(vals)
+    return dataset.with_values(ranges.from_unit(dataset.values))
 
 
 def split_by_class(dataset: Dataset, strict: bool = True) -> list[Dataset]:

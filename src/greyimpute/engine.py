@@ -97,9 +97,7 @@ _NEEDS_LABELS = {Method.MIKNN, Method.GKNN, Method.FWGKNN, Method.CGKNN}
 class ImputeConfig:
     """Everything a run needs besides the data.
 
-    ``k=None`` selects k from ``k_grid`` by cross-validation. ``eq11_literal``
-    switches the numeric estimator to the literal 1/(kW) prefactor variant
-    instead of the standard weighted mean; it is off by default.
+    ``k=None`` selects k from ``k_grid`` by cross-validation.
     """
 
     method: Method = Method.CGKNN
@@ -110,7 +108,6 @@ class ImputeConfig:
     max_iter: int = 50
     seed: int = 0
     folds: int = 10
-    eq11_literal: bool = False
     parzen: ParzenSettings = field(default_factory=ParzenSettings)
 
     def __post_init__(self):
@@ -272,7 +269,6 @@ def impute_numeric_cell(
     distances: np.ndarray,
     values: np.ndarray,
     weighted: bool = True,
-    eq11_literal: bool = False,
 ) -> float:
     """Estimate one continuous cell from its neighbors.
 
@@ -288,10 +284,7 @@ def impute_numeric_cell(
     if zero.any():
         return float(values[zero].mean())
     w = 1.0 / (distances * distances)
-    est = float((w * values).sum() / w.sum())
-    if eq11_literal:
-        est /= len(values)
-    return est
+    return float((w * values).sum() / w.sum())
 
 
 def impute_categorical_cell(
@@ -329,7 +322,6 @@ class RunState:
     """Mutable state threaded through the per-iteration sweeps."""
 
     dataset: Dataset
-    config: ImputeConfig
     plan: MethodPlan
     ranges: RangeTable
     values: np.ndarray  # current complete iterate, normalized scale
@@ -355,6 +347,16 @@ def _build_metric(plan: MethodPlan, schema, rho: float, weights):
     return HeomMetric(cat, None, weights)
 
 
+def _require_valid(dataset: Dataset) -> None:
+    report = validate(dataset)
+    if not report.ok:
+        first = report.violations[0]
+        raise DataError(
+            f"dataset fails validation with {len(report.violations)} violation(s); "
+            f"first: {first.kind} at ({first.row}, {first.column})"
+        )
+
+
 def prepare(
     dataset: Dataset,
     config: ImputeConfig,
@@ -364,13 +366,7 @@ def prepare(
     """Normalize, pre-fill, weigh and pick k; returns the ready-to-sweep
     state. ``plan``/``weights_override`` exist so variant combinations can
     be exercised directly; normal callers go through :func:`run_impute`."""
-    report = validate(dataset)
-    if not report.ok:
-        first = report.violations[0]
-        raise DataError(
-            f"dataset fails validation with {len(report.violations)} violation(s); "
-            f"first: {first.kind} at ({first.row}, {first.column})"
-        )
+    _require_valid(dataset)
     plan = PLANS[config.method] if plan is None else plan
     if config.method in _NEEDS_LABELS and dataset.labels is None:
         raise DataError(f"method {config.method.value} requires class labels")
@@ -411,7 +407,6 @@ def prepare(
         }
     return RunState(
         dataset=dataset,
-        config=config,
         plan=plan,
         ranges=ranges,
         values=initial.values.copy(),
@@ -441,6 +436,28 @@ def _pool_for(state: RunState, row: int) -> np.ndarray:
     return pool
 
 
+def _estimate_row(
+    donors: np.ndarray,
+    nbrs: list[tuple[int, float]],
+    cols: np.ndarray,
+    schema,
+    weighted: bool,
+) -> list[float]:
+    """Estimate the cells ``cols`` of one row from its ranked neighbors'
+    values in ``donors`` (normalized scale)."""
+    idx = np.array([i for i, _ in nbrs], dtype=int)
+    dist = np.array([d for _, d in nbrs], dtype=float)
+    out = []
+    for j in cols:
+        nb_vals = donors[idx, j]
+        levels = schema.features[j].levels
+        if levels is None:
+            out.append(impute_numeric_cell(dist, nb_vals, weighted))
+        else:
+            out.append(float(impute_categorical_cell(dist, nb_vals, len(levels), weighted)))
+    return out
+
+
 def sweep(state: RunState) -> SweepResult:
     """One sequential pass: re-rank neighbors and re-estimate every
     originally missing cell, updating the iterate in place.
@@ -455,52 +472,32 @@ def sweep(state: RunState) -> SweepResult:
     estimates of earlier ones, which damps the donor flip-flop cycles a
     hold-everything-then-update schedule falls into on correlated data.
     """
-    cat = state.dataset.schema.categorical_mask
-    feats = state.dataset.schema.features
+    schema = state.dataset.schema
+    cat = schema.categorical_mask
     neighbors_out: dict[int, list[tuple[int, float]]] = {}
     max_change = 0.0
     for r in state.incomplete_rows:
         r = int(r)
         pool = _pool_for(state, r)
+        cols = state.missing_cols[r]
         query = state.values[r].copy()
-        query[state.missing_cols[r]] = np.nan
+        query[cols] = np.nan
         nbrs = nearest_neighbors(
             query, state.values[pool], pool, state.metric, state.k
         )
         neighbors_out[r] = nbrs
-        idx = np.array([i for i, _ in nbrs], dtype=int)
-        dist = np.array([d for _, d in nbrs], dtype=float)
-        for j in state.missing_cols[r]:
-            j = int(j)
-            nb_vals = state.values[idx, j]
-            if cat[j]:
-                est = float(
-                    impute_categorical_cell(
-                        dist, nb_vals, len(feats[j].levels), state.plan.weighted_cells
-                    )
-                )
-                change = 0.0 if est == state.values[r, j] else 1.0
-            else:
-                est = impute_numeric_cell(
-                    dist, nb_vals, state.plan.weighted_cells, state.config.eq11_literal
-                )
-                change = abs(est - state.values[r, j])
-            state.values[r, j] = est
+        est = _estimate_row(state.values, nbrs, cols, schema, state.plan.weighted_cells)
+        for j, e in zip(cols, est):
+            old = state.values[r, j]
+            change = (0.0 if e == old else 1.0) if cat[j] else abs(e - old)
+            state.values[r, j] = e
             max_change = max(max_change, change)
     return SweepResult(max_change, neighbors_out)
 
 
 def _compose_result(state: RunState, trace: list[float], converged: bool) -> ImputationResult:
     dataset = state.dataset
-    cat = dataset.schema.categorical_mask
-    out = dataset.values.copy()
-    for r, cols in state.missing_cols.items():
-        for j in cols:
-            v = state.values[r, j]
-            if not cat[j]:
-                span = state.ranges.maxs[j] - state.ranges.mins[j]
-                v = state.ranges.maxs[j] if span == 0.0 else state.ranges.maxs[j] - v * span
-            out[r, j] = v
+    out = np.where(dataset.mask, dataset.values, state.ranges.from_unit(state.values))
     completed = Dataset(dataset.schema, out, np.ones_like(dataset.mask), dataset.labels)
     return ImputationResult(
         completed=completed,
@@ -555,46 +552,21 @@ def impute_test(
         raise SchemaMismatchError("test features differ from training features")
     if test.n == 0:
         return test
+    _require_valid(test)
     plan = PLANS[config.method]
-    cat = test.schema.categorical_mask
-    feats = test.schema.features
     ranges = result.ranges
-
-    def norm(values):
-        v = values.copy()
-        for j in range(test.p):
-            if cat[j]:
-                continue
-            span = ranges.maxs[j] - ranges.mins[j]
-            obs = ~np.isnan(v[:, j])
-            v[obs, j] = 0.0 if span == 0.0 else (ranges.maxs[j] - v[obs, j]) / span
-        return v
-
-    train_vals = norm(train.values)
-    test_vals = norm(np.where(test.mask, test.values, np.nan))
+    train_vals = ranges.to_unit(train.values)
+    test_vals = ranges.to_unit(np.where(test.mask, test.values, np.nan))
     metric = _build_metric(plan, test.schema, config.rho, result.weights_used)
     k = result.chosen_k if result.chosen_k >= 1 else 1
     if train.n < k:
         raise InsufficientCandidatesError(f"{train.n} training rows for k={k}")
     pool = np.arange(train.n)
-    out = test.values.copy()
-    for r in range(test.n):
+    for r in np.nonzero(~test.mask.all(axis=1))[0]:
         gaps = np.nonzero(~test.mask[r])[0]
-        if gaps.size == 0:
-            continue
         nbrs = nearest_neighbors(test_vals[r], train_vals, pool, metric, k)
-        idx = np.array([i for i, _ in nbrs], dtype=int)
-        dist = np.array([d for _, d in nbrs], dtype=float)
-        for j in gaps:
-            j = int(j)
-            nb_vals = train_vals[idx, j]
-            if cat[j]:
-                est = float(
-                    impute_categorical_cell(dist, nb_vals, len(feats[j].levels), plan.weighted_cells)
-                )
-            else:
-                est = impute_numeric_cell(dist, nb_vals, plan.weighted_cells, config.eq11_literal)
-                span = ranges.maxs[j] - ranges.mins[j]
-                est = ranges.maxs[j] if span == 0.0 else ranges.maxs[j] - est * span
-            out[r, j] = est
+        test_vals[r, gaps] = _estimate_row(
+            train_vals, nbrs, gaps, test.schema, plan.weighted_cells
+        )
+    out = np.where(test.mask, test.values, ranges.from_unit(test_vals))
     return Dataset(test.schema, out, np.ones_like(test.mask), test.labels)

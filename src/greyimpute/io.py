@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import io as _stdio
+import json
 import math
 from dataclasses import dataclass
 
@@ -293,51 +294,29 @@ def infer_schema(
     return SchemaConfig(tuple(columns), class_column, missing_tokens)
 
 
-def _format_float(x: float) -> str:
-    if math.isnan(x):
-        return "null"
-    if math.isinf(x):
-        return '"Infinity"' if x > 0 else '"-Infinity"'
-    if x == int(x) and abs(x) < 1e16:
-        return f"{x:.1f}"
-    return repr(x)
-
-
-def format_json(obj, indent: int = 0) -> str:
-    """JSON text with floats in their shortest exact form.
-
-    Every float is rendered as the shortest decimal that parses back to
-    the identical IEEE double, so report comparisons are bit-exact. The
-    standard library encoder offers no hook for float formatting, so this
-    small emitter handles the report's value types directly.
-    """
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
-    if isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+def _plain(obj):
+    """Map a payload onto JSON's value space: NaN -> None, +-inf ->
+    "Infinity"/"-Infinity", numpy integers and floats -> Python ones."""
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = [
-            f'{inner}"{key}": {format_json(value, indent + 1)}'
-            for key, value in obj.items()
-        ]
-        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
+        return {key: _plain(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
-        if not len(obj):
-            return "[]"
-        parts = [f"{inner}{format_json(value, indent + 1)}" for value in obj]
-        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+        return [_plain(value) for value in obj]
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if math.isnan(x):
+            return None
+        if math.isinf(x):
+            return "Infinity" if x > 0 else "-Infinity"
+        return x
+    return obj
+
+
+def format_json(obj) -> str:
+    """JSON text with two-space indentation and floats in their shortest
+    exact form (``repr``), so report comparisons are bit-exact."""
+    return json.dumps(_plain(obj), indent=2, ensure_ascii=False, allow_nan=False)
 
 
 def write_report(runs: list[dict]) -> str:

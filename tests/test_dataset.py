@@ -128,6 +128,34 @@ class TestDenormalize:
         ranges = RangeTable(np.array([2.0]), np.array([6.0]))
         assert denormalize(ds, ranges).values[0, 0] == 6.0
 
+    def test_constant_column_maps_back_to_max(self):
+        ds = build_dataset([[0.0], [0.7], [np.nan]])
+        ranges = RangeTable(np.array([5.0]), np.array([5.0]))
+        back = denormalize(ds, ranges).values[:, 0]
+        assert back[:2].tolist() == [5.0, 5.0] and np.isnan(back[2])
+
+    def test_unit_maps_match_per_cell_formulas(self, rng):
+        # mixed columns (continuous, categorical, constant) with gaps; the
+        # vectorized maps must equal the scalar expressions bit for bit
+        values = np.column_stack([
+            rng.normal(scale=10.0, size=30),
+            rng.integers(0, 3, size=30).astype(float),
+            np.full(30, 2.5),
+        ])
+        values[rng.random(values.shape) < 0.2] = np.nan
+        values[0] = [1.0, 0.0, 2.5]
+        ds = build_dataset(values, categorical_levels={1: ("a", "b", "c")})
+        ranges = RangeTable.from_dataset(ds)
+        unit, back = ranges.to_unit(values), ranges.from_unit(values)
+        lo, hi = ranges.mins[0], ranges.maxs[0]
+        for x, u, b in zip(values[:, 0], unit[:, 0], back[:, 0]):
+            assert np.isnan(x) or (u == (hi - x) / (hi - lo) and b == hi - x * (hi - lo))
+        assert np.array_equal(unit[:, 1], values[:, 1], equal_nan=True)
+        assert np.array_equal(back[:, 1], values[:, 1], equal_nan=True)
+        obs = ~np.isnan(values[:, 2])
+        assert (unit[obs, 2] == 0.0).all() and (back[obs, 2] == 2.5).all()
+        assert np.isnan(unit[~obs, 2]).all() and np.isnan(back[~obs, 2]).all()
+
     def test_round_trip_random_matrix(self, rng):
         values = rng.normal(scale=10.0, size=(20, 3))
         ds = build_dataset(values)

@@ -162,14 +162,6 @@ class TestCellEstimators:
         )
         assert got == 2.0
 
-    def test_literal_prefactor_variant(self):
-        # the literal form divides the standard weighted mean by k
-        std = impute_numeric_cell(np.array([0.1, 0.3]), np.array([1.0, 3.0]))
-        lit = impute_numeric_cell(
-            np.array([0.1, 0.3]), np.array([1.0, 3.0]), eq11_literal=True
-        )
-        assert lit == pytest.approx(std / 2.0)
-
     def test_rank_weighted_category(self):
         got = impute_categorical_cell(
             np.array([0.2, 0.3, 0.6]), np.array([0.0, 1.0, 1.0]), n_levels=2

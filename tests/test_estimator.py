@@ -88,6 +88,14 @@ class TestFitTransform:
         with pytest.raises(DataError):
             est.fit(np.array([[0.5], [1.0]]), [0, 1])
 
+    @pytest.mark.parametrize("code", [7.0, -1.0, 2.5])
+    def test_transform_rejects_codes_fit_would_reject(self, rng, code):
+        _, holed, y = _toy(rng)
+        est = GreyKNNImputer(n_neighbors=1, categorical_features=(2,)).fit(holed, y)
+        new = np.array([[0.1, NAN, code]])
+        with pytest.raises(DataError):
+            est.transform(new)
+
 
 class TestPipelineIntegration:
     def test_works_inside_sklearn_pipeline(self, rng):

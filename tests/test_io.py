@@ -217,6 +217,15 @@ class TestFormatJson:
     def test_nan_becomes_null(self):
         assert format_json(float("nan")) == "null"
 
+    def test_non_finite_and_numpy_scalars(self):
+        obj = {"nan": np.nan, "inf": np.inf, "ninf": -np.inf, "n": np.int64(7)}
+        assert json.loads(format_json(obj)) == {
+            "nan": None, "inf": "Infinity", "ninf": "-Infinity", "n": 7,
+        }
+
     def test_nested_structures_parse_back(self):
-        obj = {"a": [1, 2.5, None], "b": {"c": False}}
-        assert json.loads(format_json(obj)) == obj
+        for obj in (
+            {"a": [1, 2.5, None], "b": {"c": False}},
+            {"error": "line1\nline2\ttab"},
+        ):
+            assert json.loads(format_json(obj)) == obj
