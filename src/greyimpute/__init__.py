@@ -16,7 +16,6 @@ from .dataset import (
     ValidationReport,
     denormalize,
     normalize,
-    split_by_class,
     validate,
 )
 from .engine import (
@@ -42,7 +41,6 @@ __all__ = [
     "validate",
     "normalize",
     "denormalize",
-    "split_by_class",
     "Method",
     "ImputeConfig",
     "ImputationResult",

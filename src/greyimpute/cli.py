@@ -2,9 +2,9 @@
 
 Subcommands: impute, mi, synth {cubes,mvn}, inject {mcar,mar}, benchmark,
 eval, validate, rerun. impute, synth, inject and benchmark also write a
-manifest (<output>.manifest.json) holding the fully resolved
-configuration and input digests; ``rerun <manifest>`` reproduces the run
-byte for byte.
+manifest (<output>.manifest.json) holding the argv and input digests;
+``rerun <manifest>`` replays that argv and reproduces the run byte for
+byte.
 
 Exit codes: 0 success, 1 usage error, 2 data error. Diagnostics go to
 stderr; data only to the declared output files.
@@ -16,7 +16,6 @@ import argparse
 import csv as _csv
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -61,16 +60,16 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(primary_output: str, subcommand: str, args: dict, inputs: list, outputs: list):
+def _write_manifest(ns, inputs: list, outputs: list):
     manifest = {
         "tool": "greyimpute",
         "version": __version__,
-        "subcommand": subcommand,
-        "arguments": args,
+        "subcommand": ns.command,
+        "argv": ns.argv,
         "inputs": {path: _sha256(path) for path in inputs},
         "outputs": outputs,
     }
-    path = primary_output + ".manifest.json"
+    path = ns.out + ".manifest.json"
     Path(path).write_text(format_json(manifest) + "\n", encoding="utf-8")
     return path
 
@@ -124,6 +123,8 @@ def _usage(message: str) -> int:
 def _cmd_impute(ns) -> int:
     dataset, config = _load_dataset(ns.input, ns.schema, ns.infer_schema, ns.class_column)
     impute_config = _config_from(ns)
+    # before any output, so a schema that cannot be written back fails cleanly
+    schema_text = config.to_text() if ns.infer_schema else None
     result = run_impute(dataset, impute_config)
     out = Path(ns.out)
     out.write_text(write_csv(result.completed, config.missing_tokens[0]), encoding="utf-8")
@@ -141,18 +142,12 @@ def _cmd_impute(ns) -> int:
     }
     Path(trace_path).write_text(format_json(trace) + "\n", encoding="utf-8")
     outputs = [ns.out, trace_path]
-    if ns.infer_schema:
+    if schema_text is not None:
         inferred_path = ns.out + ".schema.cfg"
-        Path(inferred_path).write_text(config.to_text(), encoding="utf-8")
+        Path(inferred_path).write_text(schema_text, encoding="utf-8")
         outputs.append(inferred_path)
-    args = {
-        "input": ns.input, "schema": ns.schema, "infer_schema": ns.infer_schema,
-        "class_column": ns.class_column,
-        "method": ns.method, "k": ns.k, "k_grid": list(ns.k_grid), "rho": ns.rho,
-        "epsilon": ns.epsilon, "max_iter": ns.max_iter, "seed": ns.seed, "out": ns.out,
-    }
     inputs = [ns.input] + ([ns.schema] if ns.schema else [])
-    _write_manifest(ns.out, "impute", args, inputs, outputs)
+    _write_manifest(ns, inputs, outputs)
     return 0
 
 
@@ -182,14 +177,14 @@ def _cmd_mi(ns) -> int:
     return 0
 
 
-def _write_dataset_outputs(ns, dataset, subcommand, args, inputs, flipped=None):
+def _write_dataset_outputs(ns, dataset, inputs, flipped=None):
     Path(ns.out).write_text(write_csv(dataset), encoding="utf-8")
     outputs = [ns.out]
     if flipped is not None:
         mask_path = ns.out + ".mask.csv"
         _write_positions_csv(mask_path, dataset, flipped)
         outputs.append(mask_path)
-    _write_manifest(ns.out, subcommand, args, inputs, outputs)
+    _write_manifest(ns, inputs, outputs)
     return 0
 
 
@@ -216,8 +211,7 @@ def _cmd_synth(ns) -> int:
         dataset = gen_cubes(ns.seed)
     else:
         dataset, _ = gen_mvn_mar(ns.seed)
-    args = {"scenario": ns.scenario, "seed": ns.seed, "out": ns.out}
-    return _write_dataset_outputs(ns, dataset, "synth", args, [])
+    return _write_dataset_outputs(ns, dataset, [])
 
 
 def _cmd_inject(ns) -> int:
@@ -236,18 +230,8 @@ def _cmd_inject(ns) -> int:
         )
         injected = inject_mar(dataset, spec, ns.seed)
     flipped = dataset.mask & ~injected.mask
-    args = {
-        "input": ns.input, "schema": ns.schema, "mechanism": ns.mechanism,
-        "rate": ns.rate, "seed": ns.seed, "out": ns.out,
-        "columns": getattr(ns, "columns", None),
-        "targets": getattr(ns, "targets", None),
-        "predictors": getattr(ns, "predictors", None),
-        "coeff": getattr(ns, "coeff", None),
-        "infer_schema": ns.infer_schema,
-        "class_column": ns.class_column,
-    }
     inputs = [ns.input] + ([ns.schema] if ns.schema else [])
-    return _write_dataset_outputs(ns, injected, "inject", args, inputs, flipped)
+    return _write_dataset_outputs(ns, injected, inputs, flipped)
 
 
 def _spec_from_file(path: str):
@@ -308,9 +292,7 @@ def _cmd_benchmark(ns) -> int:
             for row in rows:
                 writer.writerow({k: row.get(k) for k in _REPORT_CSV_FIELDS})
         outputs.append(ns.csv)
-    args = {"spec": ns.spec, "out": ns.out, "csv": ns.csv, "jobs": ns.jobs,
-            "no_timing": ns.no_timing}
-    _write_manifest(ns.out, "benchmark", args, [ns.spec] + extra_inputs, outputs)
+    _write_manifest(ns, [ns.spec] + extra_inputs, outputs)
     return 0
 
 
@@ -346,56 +328,16 @@ def _cmd_validate(ns) -> int:
 
 def _cmd_rerun(ns) -> int:
     manifest = json.loads(Path(ns.manifest).read_text(encoding="utf-8"))
+    if "argv" not in manifest:
+        raise DataError(
+            "manifest holds no argv; it was written by an older greyimpute "
+            "and cannot be replayed"
+        )
     for path, digest in manifest.get("inputs", {}).items():
         actual = _sha256(path)
         if actual != digest:
             raise DataError(f"input {path!r} changed since the manifest was written")
-    sub = manifest["subcommand"]
-    args = manifest["arguments"]
-    argv = _argv_for(sub, args)
-    return main(argv)
-
-
-def _argv_for(sub: str, args: dict) -> list[str]:
-    if sub == "impute":
-        argv = ["impute", args["input"], "--out", args["out"], "--method", args["method"],
-                "--rho", str(args["rho"]), "--epsilon", str(args["epsilon"]),
-                "--max-iter", str(args["max_iter"]), "--seed", str(args["seed"]),
-                "--k-grid", *[str(k) for k in args["k_grid"]]]
-        if args.get("schema"):
-            argv += ["--schema", args["schema"]]
-        if args.get("infer_schema"):
-            argv += ["--infer-schema"]
-        if args.get("class_column"):
-            argv += ["--class-column", args["class_column"]]
-        if args.get("k") is not None:
-            argv += ["--k", str(args["k"])]
-        return argv
-    if sub == "synth":
-        return ["synth", args["scenario"], "--seed", str(args["seed"]), "--out", args["out"]]
-    if sub == "inject":
-        argv = ["inject", args["mechanism"], args["input"], "--rate", str(args["rate"]),
-                "--seed", str(args["seed"]), "--out", args["out"]]
-        if args.get("schema"):
-            argv += ["--schema", args["schema"]]
-        if args.get("infer_schema"):
-            argv += ["--infer-schema"]
-        if args.get("class_column"):
-            argv += ["--class-column", args["class_column"]]
-        if args["mechanism"] == "mcar":
-            argv += ["--columns", *args["columns"]]
-        else:
-            argv += ["--targets", *args["targets"], "--predictors", *args["predictors"],
-                     "--coeff", str(args["coeff"])]
-        return argv
-    if sub == "benchmark":
-        argv = ["benchmark", args["spec"], "--out", args["out"], "--jobs", str(args["jobs"])]
-        if args.get("csv"):
-            argv += ["--csv", args["csv"]]
-        if args.get("no_timing"):
-            argv += ["--no-timing"]
-        return argv
-    raise DataError(f"cannot rerun subcommand {sub!r}")
+    return main(manifest["argv"])
 
 
 def build_parser() -> _Parser:
@@ -447,8 +389,7 @@ def build_parser() -> _Parser:
     sp.add_argument("spec")
     sp.add_argument("--out", default="report.json")
     sp.add_argument("--csv", default=None, help="also write a flat CSV table")
-    sp.add_argument("--jobs", type=int,
-                    default=int(os.environ.get("GREYIMPUTE_JOBS", "1")))
+    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--no-timing", action="store_true",
                     help="zero the wall_time_ms fields for reproducible bytes")
     sp.set_defaults(func=_cmd_benchmark)
@@ -477,11 +418,13 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    ns.argv = argv
     try:
         return ns.func(ns)
     except SystemExit as exc:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, EmptyClassError
+from .errors import DataError
 
 __all__ = [
     "Feature",
@@ -28,7 +28,6 @@ __all__ = [
     "validate",
     "normalize",
     "denormalize",
-    "split_by_class",
 ]
 
 
@@ -278,31 +277,3 @@ def normalize(dataset: Dataset) -> tuple[Dataset, RangeTable]:
 def denormalize(dataset: Dataset, ranges: RangeTable) -> Dataset:
     """Invert :func:`normalize` using the recorded column ranges."""
     return dataset.with_values(ranges.from_unit(dataset.values))
-
-
-def split_by_class(dataset: Dataset, strict: bool = True) -> list[Dataset]:
-    """Partition rows by class label, one dataset per declared level.
-
-    Row order is preserved within each part. When ``strict`` (default), a
-    declared class level with zero rows raises :class:`EmptyClassError`
-    since downstream per-class statistics would be degenerate.
-    """
-    if dataset.labels is None:
-        raise DataError("split_by_class requires class labels")
-    m = len(dataset.schema.class_levels)
-    parts = []
-    for y in range(m):
-        rows = np.nonzero(dataset.labels == y)[0]
-        if rows.size == 0 and strict:
-            raise EmptyClassError(
-                f"class level {dataset.schema.class_levels[y]!r} has no rows"
-            )
-        parts.append(
-            Dataset(
-                dataset.schema,
-                dataset.values[rows],
-                dataset.mask[rows],
-                dataset.labels[rows],
-            )
-        )
-    return parts

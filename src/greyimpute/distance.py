@@ -1,20 +1,23 @@
-"""Distances between mixed-type rows.
+"""Distances from one query row to a matrix of candidate rows.
 
-Two families are implemented:
+Two families are implemented, both on the unit scale the engine
+normalizes continuous columns onto:
 
-* the heterogeneous Euclidean/overlap metric: per-feature distance is 1
-  when either cell is missing, 0/1 overlap for categorical cells, and the
-  range-normalized absolute difference for continuous cells, combined as
-  the (optionally feature-weighted) root of summed squares;
-* grey relational similarity: per-feature grey relational coefficients
-  anchored to the query's candidate set, averaged (or feature-weighted)
-  into a grade in [0, 1]; the ranking distance is one minus the grade.
+* the heterogeneous Euclidean/overlap metric (:class:`HeomMetric`):
+  per-feature distance is 1 when the query cell is missing, 0/1 overlap
+  for categorical cells and the absolute difference for continuous
+  cells, combined as the (optionally feature-weighted) root of summed
+  squares;
+* grey relational similarity (:class:`GreyMetric`): per-feature grey
+  relational coefficients anchored to the query's candidate set,
+  averaged (or feature-weighted) into a grade in [0, 1]; the ranking
+  distance is one minus the grade.
 
-Scalar functions define the contract cell by cell; the ``*_to_all`` batch
-kernels are the engine's fast path and accumulate features left to right
-so they are bit-identical to the scalar forms.
+Both kernels accumulate features left to right, and ``tests/_oracles.py``
+holds independent per-cell forms of the same formulas that the kernels
+match bit for bit.
 
-Missing cells are NaN throughout.
+Missing cells are NaN throughout; candidate rows must be complete.
 """
 
 from __future__ import annotations
@@ -26,12 +29,7 @@ import numpy as np
 __all__ = [
     "DeltaBounds",
     "GreyParams",
-    "feature_distance",
-    "heom",
     "delta_bounds",
-    "grc",
-    "grg",
-    "grey_distance",
     "HeomMetric",
     "GreyMetric",
 ]
@@ -65,38 +63,6 @@ class GreyParams:
             raise ValueError(f"rho must be in [0, 1], got {self.rho}")
 
 
-def feature_distance(a: float, b: float, categorical: bool, span: float = 1.0) -> float:
-    """Single-feature distance in [0, 1].
-
-    1 if either cell is missing; 0/1 overlap for categorical; |a - b|/span
-    for continuous, where span is the observed column range (constant
-    columns use span 1).
-    """
-    if np.isnan(a) or np.isnan(b):
-        return 1.0
-    if categorical:
-        return 0.0 if a == b else 1.0
-    return abs(a - b) / span
-
-
-def heom(
-    a: np.ndarray,
-    b: np.ndarray,
-    categorical: np.ndarray,
-    spans: np.ndarray | None = None,
-    weights: np.ndarray | None = None,
-) -> float:
-    """Row distance sqrt(sum_j d_j^2), or sqrt(sum_j w_j d_j^2) when
-    feature weights are given."""
-    p = len(a)
-    spans = np.ones(p) if spans is None else spans
-    acc = 0.0
-    for j in range(p):
-        d = feature_distance(a[j], b[j], bool(categorical[j]), spans[j])
-        acc += d * d if weights is None else weights[j] * d * d
-    return float(np.sqrt(acc))
-
-
 def delta_bounds(
     query: np.ndarray, candidates: np.ndarray, categorical: np.ndarray
 ) -> DeltaBounds:
@@ -115,65 +81,6 @@ def delta_bounds(
     return DeltaBounds(float(d.min()), float(d.max()))
 
 
-def grc(
-    a: float,
-    b: float,
-    categorical: bool,
-    bounds: DeltaBounds,
-    params: GreyParams = GreyParams(),
-) -> float:
-    """Grey relational coefficient for one feature.
-
-    Missing on either side gives 0. Categorical pairs give exact-match 0/1.
-    Continuous pairs give (dmin + rho*dmax) / (|a-b| + rho*dmax); a zero
-    denominator only occurs when every candidate value equals the query,
-    which is perfect similarity, so it yields 1.
-    """
-    if np.isnan(a) or np.isnan(b):
-        return 0.0
-    if categorical:
-        return 1.0 if a == b else 0.0
-    den = abs(a - b) + params.rho * bounds.delta_max
-    if den == 0.0:
-        return 1.0
-    return (bounds.delta_min + params.rho * bounds.delta_max) / den
-
-
-def grg(
-    a: np.ndarray,
-    b: np.ndarray,
-    categorical: np.ndarray,
-    bounds: DeltaBounds,
-    params: GreyParams = GreyParams(),
-    weights: np.ndarray | None = None,
-) -> float:
-    """Grey relational grade: mean of the per-feature coefficients, or
-    their weighted sum when simplex weights are given.
-
-    The unweighted grade is evaluated as the uniform-weight sum so that
-    passing explicit 1/p weights is bit-identical to passing none.
-    """
-    p = len(a)
-    if weights is None:
-        weights = np.full(p, 1.0 / p)
-    total = 0.0
-    for j in range(p):
-        total += weights[j] * grc(a[j], b[j], bool(categorical[j]), bounds, params)
-    return total
-
-
-def grey_distance(
-    a: np.ndarray,
-    b: np.ndarray,
-    categorical: np.ndarray,
-    bounds: DeltaBounds,
-    params: GreyParams = GreyParams(),
-    weights: np.ndarray | None = None,
-) -> float:
-    """Ranking distance 1 - GRG, so smaller means more similar."""
-    return 1.0 - grg(a, b, categorical, bounds, params, weights)
-
-
 class HeomMetric:
     """Batch HEOM distances from one query row to a candidate matrix.
 
@@ -181,9 +88,8 @@ class HeomMetric:
     feature contributes the missing-cell distance of 1 to every pair).
     """
 
-    def __init__(self, categorical, spans=None, weights=None):
+    def __init__(self, categorical, weights=None):
         self.categorical = np.asarray(categorical, dtype=bool)
-        self.spans = np.ones(len(self.categorical)) if spans is None else np.asarray(spans, float)
         self.weights = None if weights is None else np.asarray(weights, float)
 
     def distances(self, query: np.ndarray, candidates: np.ndarray) -> np.ndarray:
@@ -195,7 +101,7 @@ class HeomMetric:
             elif self.categorical[j]:
                 d = (candidates[:, j] != query[j]).astype(float)
             else:
-                d = np.abs(candidates[:, j] - query[j]) / self.spans[j]
+                d = np.abs(candidates[:, j] - query[j])
             w = 1.0 if self.weights is None else self.weights[j]
             acc += w * d * d
         return np.sqrt(acc)
@@ -204,6 +110,13 @@ class HeomMetric:
 class GreyMetric:
     """Batch grey distances (1 - GRG) from one query row to a candidate
     matrix, with delta bounds recomputed per query over that candidate set.
+
+    The coefficient of a continuous feature is (dmin + rho*dmax) /
+    (|q - c| + rho*dmax); a zero denominator only occurs when every
+    candidate value equals the query, which is perfect similarity, so it
+    gives 1. Categorical features give exact-match 0/1. The grade is the
+    mean of the coefficients, evaluated as the uniform-weight sum, or
+    their weighted sum when simplex weights are given.
 
     Candidate rows must be complete; the query may contain NaN (those
     features score a coefficient of 0 against every candidate and are
@@ -215,13 +128,10 @@ class GreyMetric:
         self.params = params
         self.weights = None if weights is None else np.asarray(weights, float)
 
-    def bounds_for(self, query: np.ndarray, candidates: np.ndarray) -> DeltaBounds:
-        return delta_bounds(query, candidates, self.categorical)
-
     def distances(self, query: np.ndarray, candidates: np.ndarray) -> np.ndarray:
         nc = candidates.shape[0]
         p = len(self.categorical)
-        bounds = self.bounds_for(query, candidates)
+        bounds = delta_bounds(query, candidates, self.categorical)
         num = bounds.delta_min + self.params.rho * bounds.delta_max
         weights = np.full(p, 1.0 / p) if self.weights is None else self.weights
         grade = np.zeros(nc)

@@ -344,7 +344,7 @@ def _build_metric(plan: MethodPlan, schema, rho: float, weights):
     cat = schema.categorical_mask
     if plan.metric == "grey":
         return GreyMetric(cat, GreyParams(rho), weights)
-    return HeomMetric(cat, None, weights)
+    return HeomMetric(cat, weights)
 
 
 def _require_valid(dataset: Dataset) -> None:
@@ -545,6 +545,9 @@ def impute_test(
 
     Neighbors are ranked over all training rows (the class is unknown at
     test time) with the training feature weights; there is no iteration.
+    A non-iterative method (mean/mode) fills every gap with the column
+    mean/mode of the completed training matrix, which is the value its
+    fit wrote into that column's missing training cells.
     """
     train = result.completed
     # the test set carries no class column; only the features must agree
@@ -557,16 +560,25 @@ def impute_test(
     ranges = result.ranges
     train_vals = ranges.to_unit(train.values)
     test_vals = ranges.to_unit(np.where(test.mask, test.values, np.nan))
-    metric = _build_metric(plan, test.schema, config.rho, result.weights_used)
-    k = result.chosen_k if result.chosen_k >= 1 else 1
-    if train.n < k:
-        raise InsufficientCandidatesError(f"{train.n} training rows for k={k}")
-    pool = np.arange(train.n)
-    for r in np.nonzero(~test.mask.all(axis=1))[0]:
-        gaps = np.nonzero(~test.mask[r])[0]
-        nbrs = nearest_neighbors(test_vals[r], train_vals, pool, metric, k)
-        test_vals[r, gaps] = _estimate_row(
-            train_vals, nbrs, gaps, test.schema, plan.weighted_cells
-        )
+    if not plan.iterative:
+        full = np.ones_like(train.mask)
+        for j in np.nonzero(~test.mask.all(axis=0))[0]:
+            levels = test.schema.features[j].levels
+            test_vals[~test.mask[:, j], j] = (
+                _column_mean(train_vals, full, j) if levels is None
+                else _column_mode(train_vals, full, j, len(levels))
+            )
+    else:
+        metric = _build_metric(plan, test.schema, config.rho, result.weights_used)
+        k = result.chosen_k if result.chosen_k >= 1 else 1
+        if train.n < k:
+            raise InsufficientCandidatesError(f"{train.n} training rows for k={k}")
+        pool = np.arange(train.n)
+        for r in np.nonzero(~test.mask.all(axis=1))[0]:
+            gaps = np.nonzero(~test.mask[r])[0]
+            nbrs = nearest_neighbors(test_vals[r], train_vals, pool, metric, k)
+            test_vals[r, gaps] = _estimate_row(
+                train_vals, nbrs, gaps, test.schema, plan.weighted_cells
+            )
     out = np.where(test.mask, test.values, ranges.from_unit(test_vals))
     return Dataset(test.schema, out, np.ones_like(test.mask), test.labels)

@@ -9,7 +9,6 @@ __all__ = [
     "ParseError",
     "RaggedRowError",
     "UnknownLevelError",
-    "EmptyClassError",
     "EmptyInputError",
     "EmptyMaskError",
     "DegenerateClassError",
@@ -43,10 +42,6 @@ class RaggedRowError(ParseError):
 
 class UnknownLevelError(ParseError):
     """Categorical value outside the explicitly declared level list."""
-
-
-class EmptyClassError(DataError):
-    """A declared class level has no rows."""
 
 
 class EmptyInputError(DataError):

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 from .dataset import Dataset, Feature, Schema
-from .errors import ParseError, RaggedRowError, UnknownLevelError
+from .errors import DataError, ParseError, RaggedRowError, UnknownLevelError
 
 import numpy as np
 
@@ -102,6 +102,8 @@ class SchemaConfig:
         return cls(tuple(columns), class_column, tokens)
 
     def to_text(self) -> str:
+        """The schema document; raises :class:`DataError` unless
+        :meth:`from_text` reads it back as this exact config."""
         lines = []
         if self.class_column is not None:
             lines.append(f"class = {self.class_column}")
@@ -111,7 +113,18 @@ class SchemaConfig:
                 lines.append(f"feature {name} = categorical " + ", ".join(levels))
             else:
                 lines.append(f"feature {name} = {kind}")
-        return "\n".join(lines) + "\n"
+        text = "\n".join(lines) + "\n"
+        try:
+            readable = SchemaConfig.from_text(text) == self
+        except DataError:
+            readable = False
+        if not readable:
+            raise DataError(
+                "schema text would not read back unchanged: a column name, level "
+                "or missing token is empty or holds edge whitespace, ',', '#', '=' "
+                "or a line break"
+            )
+        return text
 
 
 def _parse_rows(text: str):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from greyimpute.dataset import denormalize, normalize
-from greyimpute.distance import DeltaBounds, delta_bounds, grg
+from greyimpute.distance import GreyMetric
 from greyimpute.engine import ImputeConfig, prepare, run_impute, sweep
 from greyimpute.evaluate import BenchmarkSpec, benchmark
 from greyimpute.io import SchemaConfig, read_csv, write_report
@@ -238,18 +238,16 @@ def test_criterion_7_invariant_suites(cube_rows, mvn_rows, iris_rows):
     if res.iterations != 0 or not np.array_equal(res.completed.values, complete.values):
         failures.append("not idempotent on complete data")
 
-    # grade bounds and approachability
-    cat = np.array([False, False])
+    # grade bounds and approachability, one candidate matrix per check so
+    # its candidates share the bounds
+    grey = GreyMetric(np.array([False, False]))
     for _ in range(50):
         a, b = rng.random(2), rng.random(2)
-        bounds = delta_bounds(a, b[None, :], cat)
-        g = grg(a, b, cat, bounds)
+        g = 1.0 - grey.distances(a, b[None, :])[0]
         if not (-1e-12 <= g <= 1 + 1e-12):
             failures.append("grade out of [0,1]")
-    grades = [
-        grg(np.array([0.0, 0.5]), np.array([d, 0.5]), cat, DeltaBounds(0.0, 1.0))
-        for d in (0.1, 0.4, 0.8)
-    ]
+    candidates = np.array([[d, 0.5] for d in (0.1, 0.4, 0.8)])
+    grades = 1.0 - grey.distances(np.array([0.0, 0.5]), candidates)
     if not (grades[0] > grades[1] > grades[2]):
         failures.append("approachability violated")
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import greyimpute
 from greyimpute.cli import main
 from greyimpute.io import SchemaConfig, write_csv
 from greyimpute.synth import gen_cubes, inject_mcar
@@ -92,7 +97,11 @@ class TestImputeCommand:
             "--method", "iknn", "--k", "1", "--out", _p(out),
         ])
         assert code == 0
-        assert (workdir / "c.csv.schema.cfg").exists()
+        assert main([
+            "impute", _p(workdir / "data.csv"), "--schema", _p(workdir / "c.csv.schema.cfg"),
+            "--method", "iknn", "--k", "1", "--out", _p(workdir / "c2.csv"),
+        ]) == 0
+        assert (workdir / "c2.csv").read_bytes() == out.read_bytes()
 
     def test_infer_schema_with_class_column(self, workdir):
         out = workdir / "cc.csv"
@@ -103,6 +112,19 @@ class TestImputeCommand:
         ])
         assert code == 0
         assert "class = class" in (workdir / "cc.csv.schema.cfg").read_text()
+
+    def test_unwritable_inferred_schema_fails_before_any_output(self, tmp_path):
+        # the space after the comma makes the level " red", which the
+        # schema text cannot hold
+        (tmp_path / "spaced.csv").write_text(
+            "x1,color,class\n1.0, red,a\nNA, blue,a\n0.2, red,b\n0.4, blue,b\n"
+        )
+        code = main([
+            "impute", _p(tmp_path / "spaced.csv"), "--infer-schema", "--class-column", "class",
+            "--method", "iknn", "--k", "1", "--out", _p(tmp_path / "o.csv"),
+        ])
+        assert code == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spaced.csv"]
 
 
 class TestMiCommand:
@@ -218,15 +240,71 @@ class TestBenchmarkCommand:
         assert len(lines) == 2
 
 
+def _replay(argv):
+    """Run argv, delete its outputs, rerun its manifest and check that
+    every output and the manifest come back byte for byte."""
+    assert main(argv) == 0
+    manifest_path = Path(argv[argv.index("--out") + 1] + ".manifest.json")
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["argv"] == argv
+    before = {path: Path(path).read_bytes() for path in manifest["outputs"]}
+    before[str(manifest_path)] = manifest_path.read_bytes()
+    for path in manifest["outputs"]:
+        Path(path).unlink()
+    assert main(["rerun", str(manifest_path)]) == 0
+    assert {path: Path(path).read_bytes() for path in before} == before
+
+
+# argv templates, split before formatting so paths may hold spaces
+REPLAYS = {
+    "impute-k": "impute {d}/data.csv --schema {d}/schema.cfg --method cgknn --k 1"
+                " --seed 7 --out {d}/out.csv",
+    "impute-infer-schema": "impute {d}/data.csv --infer-schema --class-column class"
+                           " --method gknn --k-grid 1 3 --out {d}/out.csv",
+    "inject-mcar": "inject mcar {d}/mvn.csv --infer-schema --columns x1 x2 --rate 0.2"
+                   " --seed 2 --out {d}/out.csv",
+    "inject-mar": "inject mar {d}/mvn.csv --infer-schema --targets x4 x5"
+                  " --predictors x1 x2 x3 --rate 0.1 --seed 5 --out {d}/out.csv",
+    "benchmark": "benchmark {d}/spec.json --no-timing --csv {d}/out.report.csv"
+                 " --out {d}/out.json",
+}
+
+
 class TestRerun:
     def test_rerun_reproduces_bytes(self, tmp_path):
-        data = tmp_path / "cubes.csv"
-        main(["synth", "cubes", "--seed", "6", "--out", _p(data)])
-        first = data.read_bytes()
-        data.unlink()
-        code = main(["rerun", _p(tmp_path / "cubes.csv.manifest.json")])
-        assert code == 0
-        assert data.read_bytes() == first
+        _replay(["synth", "cubes", "--seed", "6", "--out", _p(tmp_path / "cubes.csv")])
+
+    @pytest.mark.parametrize("case", sorted(REPLAYS))
+    def test_rerun_replays_each_subcommand(self, workdir, case):
+        main(["synth", "mvn", "--seed", "3", "--out", _p(workdir / "mvn.csv")])
+        (workdir / "spec.json").write_text(json.dumps({
+            "dataset": "cubes", "methods": ["meanmode"], "rates": [0.1], "seeds": [1],
+        }))
+        _replay([arg.format(d=workdir) for arg in REPLAYS[case].split()])
+
+    def test_console_run_records_its_argv(self, tmp_path):
+        args = ["synth", "cubes", "--seed", "6", "--out", _p(tmp_path / "cubes.csv")]
+        src = str(Path(greyimpute.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-m", "greyimpute.cli", *args], env=env, check=True)
+        manifest = json.loads((tmp_path / "cubes.csv.manifest.json").read_text())
+        assert manifest["argv"] == args
+        first = (tmp_path / "cubes.csv").read_bytes()
+        (tmp_path / "cubes.csv").unlink()
+        assert main(["rerun", _p(tmp_path / "cubes.csv.manifest.json")]) == 0
+        assert (tmp_path / "cubes.csv").read_bytes() == first
+
+    def test_manifest_without_argv_is_data_error(self, tmp_path, capsys):
+        old = tmp_path / "old.manifest.json"
+        old.write_text(json.dumps({
+            "tool": "greyimpute", "subcommand": "synth",
+            "arguments": {"scenario": "cubes", "seed": 6, "out": _p(tmp_path / "c.csv")},
+            "inputs": {}, "outputs": [_p(tmp_path / "c.csv")],
+        }))
+        assert main(["rerun", _p(old)]) == 2
+        assert "argv" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
 
     def test_rerun_rejects_changed_inputs(self, workdir):
         main([

@@ -10,10 +10,9 @@ from greyimpute.dataset import (
     Schema,
     denormalize,
     normalize,
-    split_by_class,
     validate,
 )
-from greyimpute.errors import DataError, EmptyClassError
+from greyimpute.errors import DataError
 from greyimpute.synth import gen_cubes, inject_mcar
 
 from conftest import build_dataset
@@ -171,40 +170,6 @@ class TestDenormalize:
         back = denormalize(normalized, ranges)
         span = max(column) - min(column)
         assert np.allclose(back.values[:, 0], column, rtol=1e-12, atol=1e-12 * max(span, 1))
-
-
-class TestSplitByClass:
-    def test_alternating_labels(self):
-        ds = build_dataset(np.arange(6.0)[:, None], labels=[0, 1, 0, 1, 0, 1])
-        parts = split_by_class(ds)
-        assert [p.n for p in parts] == [3, 3]
-        assert parts[0].values[:, 0].tolist() == [0.0, 2.0, 4.0]
-
-    def test_cube_classes_have_200_rows_each(self):
-        parts = split_by_class(gen_cubes(3))
-        assert [p.n for p in parts] == [200, 200]
-
-    def test_empty_declared_class(self):
-        ds = build_dataset(
-            [[1.0], [2.0]], labels=[0, 0], class_levels=("a", "b")
-        )
-        with pytest.raises(EmptyClassError):
-            split_by_class(ds)
-        parts = split_by_class(ds, strict=False)
-        assert parts[0].n == 2 and parts[1].n == 0
-
-    def test_concatenation_is_a_permutation(self, rng):
-        values = rng.normal(size=(12, 2))
-        labels = rng.integers(0, 3, size=12)
-        labels[:3] = [0, 1, 2]
-        ds = build_dataset(values, labels=labels)
-        parts = split_by_class(ds)
-        stacked = np.vstack([p.values for p in parts])
-        assert sorted(map(tuple, stacked)) == sorted(map(tuple, values))
-
-    def test_requires_labels(self):
-        with pytest.raises(DataError):
-            split_by_class(build_dataset([[1.0]]))
 
 
 class TestDatasetInvariants:

@@ -11,58 +11,70 @@ from greyimpute.distance import (
     GreyParams,
     HeomMetric,
     delta_bounds,
-    feature_distance,
-    grc,
-    grey_distance,
-    grg,
-    heom,
 )
 
+from _oracles import oracle_bounds, oracle_grg, oracle_heom
+
 NAN = float("nan")
+
+# The kernels require complete candidate rows, so a NaN appears only on
+# the query side below.
+
+
+def heom_pair(a, b, cat, weights=None):
+    return HeomMetric(cat, weights).distances(np.asarray(a, float), np.array([b], float))[0]
+
+
+def grades(query, candidates, cat, weights=None):
+    """Grey relational grades of each candidate against the query, under
+    bounds shared by the whole candidate matrix."""
+    metric = GreyMetric(cat, GreyParams(0.5), weights)
+    return 1.0 - metric.distances(np.asarray(query, float), np.asarray(candidates, float))
 
 
 class TestFeatureDistance:
     def test_missing_cell_gives_one(self):
-        assert feature_distance(NAN, 0.3, False) == 1.0
-        assert feature_distance(0.3, NAN, True) == 1.0
+        assert heom_pair([NAN], [0.3], [False]) == 1.0
+        assert heom_pair([NAN], [1.0], [True]) == 1.0
 
     def test_categorical_overlap(self):
-        assert feature_distance(0.0, 0.0, True) == 0.0
-        assert feature_distance(0.0, 1.0, True) == 1.0
+        assert heom_pair([0.0], [0.0], [True]) == 0.0
+        assert heom_pair([0.0], [1.0], [True]) == 1.0
 
     def test_continuous_range_normalized(self):
-        assert feature_distance(2.0, 5.0, False, span=10.0) == pytest.approx(0.3)
+        # cells are on the unit scale, so the span is 1
+        assert heom_pair([0.2], [0.5], [False]) == pytest.approx(0.3)
 
 
 class TestHeom:
     def test_identical_rows(self):
         a = np.array([0.4, 1.0])
-        assert heom(a, a, np.array([False, True])) == 0.0
+        assert heom_pair(a, a, np.array([False, True])) == 0.0
 
     def test_mixed_pair(self):
-        # (0.2, red) vs (0.5, blue): sqrt(0.3^2 + 1) with unit spans
+        # (0.2, red) vs (0.5, blue): sqrt(0.3^2 + 1)
         a, b = np.array([0.2, 0.0]), np.array([0.5, 1.0])
         cat = np.array([False, True])
-        assert heom(a, b, cat) == pytest.approx(math.sqrt(1.09))
+        assert heom_pair(a, b, cat) == pytest.approx(math.sqrt(1.09))
 
     def test_weights_can_silence_a_feature(self):
         a, b = np.array([0.2, 0.0]), np.array([0.5, 1.0])
         cat = np.array([False, True])
-        assert heom(a, b, cat, weights=np.array([1.0, 0.0])) == pytest.approx(0.3)
+        assert heom_pair(a, b, cat, weights=np.array([1.0, 0.0])) == pytest.approx(0.3)
 
     def test_uniform_weights_scale_by_inverse_root_p(self, rng):
         cat = np.array([False, False, True, False])
         for _ in range(20):
             a, b = rng.random(4), np.append(rng.random(3), 1.0)
-            plain = heom(a, b, cat)
-            uniform = heom(a, b, cat, weights=np.full(4, 0.25))
+            plain = heom_pair(a, b, cat)
+            uniform = heom_pair(a, b, cat, weights=np.full(4, 0.25))
             assert uniform == pytest.approx(plain / 2.0)
 
     def test_symmetry(self, rng):
         cat = np.array([False, True, False])
         for _ in range(20):
             a, b = rng.random(3), rng.random(3)
-            assert heom(a, b, cat) == heom(b, a, cat)
+            assert heom_pair(a, b, cat) == heom_pair(b, a, cat)
 
 
 class TestDeltaBounds:
@@ -91,44 +103,36 @@ class TestDeltaBounds:
 
 class TestGrc:
     def test_plug_in_value(self):
-        bounds = DeltaBounds(0.0, 0.8)
+        # candidates 0.4, 0.0, 0.8 give bounds (0, 0.8);
         # (0 + 0.5*0.8) / (0.4 + 0.5*0.8) = 0.5
-        assert grc(0.0, 0.4, False, bounds) == pytest.approx(0.5)
+        assert grades([0.0], [[0.4], [0.0], [0.8]], [False])[0] == pytest.approx(0.5)
 
     def test_missing_gives_zero(self):
-        assert grc(NAN, 0.2, False, DeltaBounds(0.0, 1.0)) == 0.0
-        assert grc(0.2, NAN, True, DeltaBounds(0.0, 1.0)) == 0.0
+        assert grades([NAN], [[0.2]], [False])[0] == 0.0
 
     def test_degenerate_bounds_give_one(self):
-        assert grc(0.3, 0.3, False, DeltaBounds(0.0, 0.0)) == 1.0
+        assert grades([0.3], [[0.3]], [False])[0] == 1.0
 
     def test_categorical_match(self):
-        b = DeltaBounds(0.0, 1.0)
-        assert grc(1.0, 1.0, True, b) == 1.0
-        assert grc(1.0, 0.0, True, b) == 0.0
+        assert grades([1.0], [[1.0], [0.0]], [True]).tolist() == [1.0, 0.0]
 
 
 class TestGrg:
     def test_identical_rows_grade_one(self):
         a = np.array([0.2, 0.8, 1.0])
         cat = np.array([False, False, True])
-        bounds = delta_bounds(a, a[None, :], cat)
-        assert grg(a, a, cat, bounds) == pytest.approx(1.0)
-        assert grey_distance(a, a, cat, bounds) == pytest.approx(0.0)
+        assert grades(a, [a], cat)[0] == pytest.approx(1.0)
+        assert GreyMetric(cat).distances(a, a[None, :])[0] == pytest.approx(0.0)
 
     def test_mean_of_coefficients(self):
         # one matching categorical (GRC 1), one mismatching (GRC 0)
-        a = np.array([0.0, 0.0])
-        b = np.array([0.0, 1.0])
         cat = np.array([True, True])
-        assert grg(a, b, cat, DeltaBounds(0.0, 1.0)) == pytest.approx(0.5)
+        assert grades([0.0, 0.0], [[0.0, 1.0]], cat)[0] == pytest.approx(0.5)
 
     def test_weighted_sum(self):
-        a = np.array([0.0, 0.0])
-        b = np.array([0.0, 1.0])
         cat = np.array([True, True])
         w = np.array([0.8, 0.2])
-        assert grg(a, b, cat, DeltaBounds(0.0, 1.0), weights=w) == pytest.approx(0.8)
+        assert grades([0.0, 0.0], [[0.0, 1.0]], cat, w)[0] == pytest.approx(0.8)
 
 
 @st.composite
@@ -149,33 +153,28 @@ class TestGreyAxioms:
     @settings(max_examples=100, deadline=None)
     def test_normality(self, pair):
         a, b, cat = pair
-        bounds = delta_bounds(a, b[None, :], cat)
-        assert -1e-12 <= grg(a, b, cat, bounds) <= 1.0 + 1e-12
+        assert -1e-12 <= grades(a, [b], cat)[0] <= 1.0 + 1e-12
 
     @given(row_pairs())
     @settings(max_examples=100, deadline=None)
     def test_pairwise_dual_symmetry(self, pair):
         a, b, cat = pair
-        # shared bounds from the two-row relational space
-        diffs = [abs(a[j] - b[j]) for j in range(len(a)) if not cat[j]]
-        bounds = DeltaBounds(min(diffs), max(diffs)) if diffs else DeltaBounds(0.0, 1.0)
-        assert grg(a, b, cat, bounds) == pytest.approx(grg(b, a, cat, bounds))
+        # with one candidate, both directions share the bounds of the
+        # two-row relational space
+        assert grades(a, [b], cat)[0] == pytest.approx(grades(b, [a], cat)[0])
 
     def test_approachability(self):
-        # larger |a_j - b_j| strictly lowers the grade, all else fixed
+        # larger |a_j - b_j| strictly lowers the grade, all else fixed;
+        # one candidate matrix, so every candidate shares the bounds
         cat = np.array([False, False])
-        bounds = DeltaBounds(0.0, 1.0)
-        a = np.array([0.0, 0.5])
-        grades = [
-            grg(a, np.array([d, 0.5]), cat, bounds) for d in (0.1, 0.3, 0.6, 0.9)
-        ]
-        assert all(x > y for x, y in zip(grades, grades[1:]))
+        candidates = [[d, 0.5] for d in (0.1, 0.3, 0.6, 0.9)]
+        g = grades([0.0, 0.5], candidates, cat)
+        assert all(x > y for x, y in zip(g, g[1:]))
 
 
 class TestBatchKernels:
     def test_heom_batch_matches_scalar_bitwise(self, rng):
         cat = np.array([False, True, False, True, False])
-        spans = np.array([1.0, 1.0, 1.0, 1.0, 1.0])
         for _ in range(10):
             q = rng.random(5)
             q[1] = float(rng.integers(0, 3))
@@ -184,8 +183,8 @@ class TestBatchKernels:
             c = rng.random((8, 5))
             c[:, 1] = rng.integers(0, 3, size=8)
             c[:, 3] = rng.integers(0, 2, size=8)
-            batch = HeomMetric(cat, spans).distances(q, c)
-            scalar = [heom(q, c[i], cat, spans) for i in range(8)]
+            batch = HeomMetric(cat).distances(q, c)
+            scalar = [oracle_heom(q, c[i], cat) for i in range(8)]
             assert batch.tolist() == scalar
 
     def test_grey_batch_matches_scalar_bitwise(self, rng):
@@ -201,8 +200,8 @@ class TestBatchKernels:
             c[:, 2] = rng.integers(0, 2, size=6)
             metric = GreyMetric(cat, params, w)
             batch = metric.distances(q, c)
-            bounds = delta_bounds(q, c, cat)
-            scalar = [1.0 - grg(q, c[i], cat, bounds, params, w) for i in range(6)]
+            dmin, dmax = oracle_bounds(q, c, cat)
+            scalar = [1.0 - oracle_grg(q, c[i], cat, dmin, dmax, 0.5, w) for i in range(6)]
             assert batch.tolist() == scalar
 
     def test_grey_unweighted_equals_uniform_weights_bitwise(self, rng):

@@ -96,6 +96,20 @@ class TestFitTransform:
         with pytest.raises(DataError):
             est.transform(new)
 
+    def test_meanmode_transform_fills_with_training_mean_and_mode(self, rng):
+        x, holed, y = _toy(rng)
+        est = GreyKNNImputer(method="meanmode", categorical_features=(2,))
+        completed = est.fit_transform(holed, y)
+        mean_fill = completed[np.isnan(holed[:, 0]), 0][0]
+        codes = holed[~np.isnan(holed[:, 2]), 2].astype(int)
+        mode = float(np.argmax(np.bincount(codes)))
+        new = x[:3].copy()
+        new[:, 0] = NAN
+        new[1:, 2] = NAN
+        out = est.transform(new)
+        assert np.allclose(out[:, 0], mean_fill, rtol=0.0, atol=1e-12)
+        assert out[1:, 2].tolist() == [mode, mode]
+
 
 class TestPipelineIntegration:
     def test_works_inside_sklearn_pipeline(self, rng):

@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from greyimpute.errors import ParseError, RaggedRowError, UnknownLevelError
+from greyimpute.errors import DataError, ParseError, RaggedRowError, UnknownLevelError
 from greyimpute.dataset import validate
 from greyimpute.io import (
     DEFAULT_MISSING_TOKENS,
@@ -123,6 +125,30 @@ class TestWriteCsv:
         assert back.equals(ds)
 
 
+# names and levels: plain ones, which mostly round-trip, and ones mixing
+# letters with the characters the schema syntax gives meaning to, edge
+# spaces, non-ASCII and control characters
+_TRICKY = st.from_regex(r"[a-zé雪][a-z0-9_. é雪]{0,4}[a-z0-9]?", fullmatch=True) | st.text(
+    st.one_of(st.sampled_from("ab ,#=\t\n\r\x00\x0b\x1c\x85\u2028é雪"), st.characters()),
+    max_size=6,
+)
+
+
+@st.composite
+def schema_configs(draw):
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        name = draw(_TRICKY)
+        if draw(st.booleans()):
+            columns.append((name, "continuous", None))
+        else:
+            levels = draw(st.none() | st.lists(_TRICKY, min_size=1, max_size=3).map(tuple))
+            columns.append((name, "categorical", levels))
+    class_column = draw(st.none() | _TRICKY)
+    tokens = tuple(draw(st.lists(_TRICKY, min_size=1, max_size=3)))
+    return SchemaConfig(tuple(columns), class_column, tokens)
+
+
 class TestSchemaConfig:
     def test_parse_document(self):
         text = """
@@ -146,6 +172,15 @@ class TestSchemaConfig:
             missing_tokens=("NA", ""),
         )
         assert SchemaConfig.from_text(config.to_text()) == config
+
+    @given(schema_configs())
+    @settings(max_examples=200, deadline=None)
+    def test_text_reads_back_or_is_refused(self, config):
+        try:
+            text = config.to_text()
+        except DataError:
+            return
+        assert SchemaConfig.from_text(text) == config
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ParseError):
