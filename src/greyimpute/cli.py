@@ -17,21 +17,16 @@ import csv as _csv
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .dataset import normalize, validate
-from .engine import (
-    DEFAULT_K_GRID,
-    ImputeConfig,
-    Method,
-    initial_impute,
-    run_impute,
-)
+from .engine import ImputeConfig, Method, initial_impute, run_impute
 from .errors import DataError
-from .evaluate import BenchmarkSpec, benchmark, kfold_cv, rmse
+from .evaluate import REPORT_FIELDS, BenchmarkSpec, benchmark, kfold_cv, rmse
 from .io import (
     SchemaConfig,
     format_json,
@@ -58,6 +53,13 @@ def _sha256(path: str) -> str:
     h = hashlib.sha256()
     h.update(Path(path).read_bytes())
     return h.hexdigest()
+
+
+def _read_json(path: str):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path!r} is not valid JSON: {exc}") from None
 
 
 def _write_manifest(ns, inputs: list, outputs: list):
@@ -90,29 +92,29 @@ def _method_list():
 
 
 def _add_impute_options(sub):
-    sub.add_argument("--method", default="cgknn", help=f"one of: {_method_list()}")
-    sub.add_argument("--k", type=int, default=None, help="neighborhood size (default: select by CV)")
-    sub.add_argument("--k-grid", type=int, nargs="+", default=list(DEFAULT_K_GRID))
-    sub.add_argument("--rho", type=float, default=0.5)
-    sub.add_argument("--epsilon", type=float, default=1e-4)
-    sub.add_argument("--max-iter", type=int, default=50)
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--method", default=ImputeConfig.method.value, help=f"one of: {_method_list()}")
+    sub.add_argument("--k", type=int, default=ImputeConfig.k,
+                     help="neighborhood size (default: select by CV)")
+    sub.add_argument("--k-grid", type=int, nargs="+", default=list(ImputeConfig.k_grid))
+    sub.add_argument("--rho", type=float, default=ImputeConfig.rho)
+    sub.add_argument("--epsilon", type=float, default=ImputeConfig.epsilon)
+    sub.add_argument("--max-iter", type=int, default=ImputeConfig.max_iter)
+    sub.add_argument("--seed", type=int, default=ImputeConfig.seed)
 
 
 def _config_from(ns) -> ImputeConfig:
     try:
-        method = Method(ns.method)
-    except ValueError:
-        raise SystemExit(_usage(f"unknown method {ns.method!r}; valid methods: {_method_list()}"))
-    return ImputeConfig(
-        method=method,
-        k=ns.k,
-        k_grid=tuple(ns.k_grid),
-        rho=ns.rho,
-        epsilon=ns.epsilon,
-        max_iter=ns.max_iter,
-        seed=ns.seed,
-    )
+        return ImputeConfig(
+            method=ns.method,
+            k=ns.k,
+            k_grid=ns.k_grid,
+            rho=ns.rho,
+            epsilon=ns.epsilon,
+            max_iter=ns.max_iter,
+            seed=ns.seed,
+        )
+    except DataError as exc:
+        raise SystemExit(_usage(str(exc)))
 
 
 def _usage(message: str) -> int:
@@ -121,8 +123,8 @@ def _usage(message: str) -> int:
 
 
 def _cmd_impute(ns) -> int:
-    dataset, config = _load_dataset(ns.input, ns.schema, ns.infer_schema, ns.class_column)
     impute_config = _config_from(ns)
+    dataset, config = _load_dataset(ns.input, ns.schema, ns.infer_schema, ns.class_column)
     # before any output, so a schema that cannot be written back fails cleanly
     schema_text = config.to_text() if ns.infer_schema else None
     result = run_impute(dataset, impute_config)
@@ -234,8 +236,19 @@ def _cmd_inject(ns) -> int:
     return _write_dataset_outputs(ns, injected, inputs, flipped)
 
 
+_SPEC_KEYS = {"dataset", "methods", "rates", "seeds", "mechanism", "mcar_columns",
+              "mar_targets", "mar_predictors", "timing"}
+# passed straight to ImputeConfig, which defaults and checks them
+_SPEC_CONFIG_KEYS = ("k", "k_grid", "rho", "epsilon", "max_iter", "folds")
+
+
 def _spec_from_file(path: str):
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    raw = _read_json(path)
+    if not isinstance(raw, dict):
+        raise DataError(f"spec {path!r} must hold a JSON object")
+    unknown = sorted(set(raw) - _SPEC_KEYS - set(_SPEC_CONFIG_KEYS))
+    if unknown:
+        raise DataError(f"unknown spec key(s) {', '.join(map(repr, unknown))} in {path!r}")
     source = raw.get("dataset")
     if isinstance(source, dict):
         data_text = Path(source["file"]).read_text(encoding="utf-8")
@@ -251,46 +264,41 @@ def _spec_from_file(path: str):
         value = raw.get(key, default)
         return None if value is None else tuple(value)
 
+    def required(key, kind):
+        if key not in raw:
+            raise DataError(f"spec {path!r} lacks the key {key!r}")
+        try:
+            return tuple(kind(v) for v in raw[key])
+        except (TypeError, ValueError):
+            raise DataError(f"spec key {key!r} must list {kind.__name__} values") from None
+
     spec = BenchmarkSpec(
         dataset=source_obj,
-        methods=tuple(raw["methods"]),
-        rates=tuple(float(r) for r in raw["rates"]),
-        seeds=tuple(int(s) for s in raw["seeds"]),
+        methods=required("methods", str),
+        rates=required("rates", float),
+        seeds=required("seeds", int),
         mechanism=raw.get("mechanism", "mcar"),
         mcar_columns=tupled("mcar_columns", ["x1"]),
         mar_targets=tupled("mar_targets"),
         mar_predictors=tupled("mar_predictors"),
-        k=raw.get("k"),
-        k_grid=tupled("k_grid", list(DEFAULT_K_GRID)),
-        rho=float(raw.get("rho", 0.5)),
-        epsilon=float(raw.get("epsilon", 1e-4)),
-        max_iter=int(raw.get("max_iter", 50)),
-        folds=int(raw.get("folds", 10)),
+        config=ImputeConfig(**{key: raw[key] for key in _SPEC_CONFIG_KEYS if key in raw}),
         timing=bool(raw.get("timing", True)),
     )
     return spec, extra_inputs
 
 
-_REPORT_CSV_FIELDS = [
-    "method", "missing_rate", "seed", "rmse", "classification_accuracy",
-    "baseline_accuracy", "iterations", "chosen_k", "wall_time_ms",
-    "converged", "pool_fallback", "error",
-]
-
-
 def _cmd_benchmark(ns) -> int:
     spec, extra_inputs = _spec_from_file(ns.spec)
     if ns.no_timing:
-        spec = BenchmarkSpec(**{**spec.__dict__, "timing": False})
-    rows = benchmark(spec, jobs=ns.jobs)
+        spec = replace(spec, timing=False)
+    rows = benchmark(spec)
     Path(ns.out).write_text(write_report(rows), encoding="utf-8")
     outputs = [ns.out]
     if ns.csv:
         with open(ns.csv, "w", newline="", encoding="utf-8") as fh:
-            writer = _csv.DictWriter(fh, fieldnames=_REPORT_CSV_FIELDS, lineterminator="\n")
+            writer = _csv.DictWriter(fh, fieldnames=REPORT_FIELDS, lineterminator="\n")
             writer.writeheader()
-            for row in rows:
-                writer.writerow({k: row.get(k) for k in _REPORT_CSV_FIELDS})
+            writer.writerows(rows)
         outputs.append(ns.csv)
     _write_manifest(ns, [ns.spec] + extra_inputs, outputs)
     return 0
@@ -327,12 +335,24 @@ def _cmd_validate(ns) -> int:
 
 
 def _cmd_rerun(ns) -> int:
-    manifest = json.loads(Path(ns.manifest).read_text(encoding="utf-8"))
+    manifest = _read_json(ns.manifest)
     if "argv" not in manifest:
         raise DataError(
             "manifest holds no argv; it was written by an older greyimpute "
             "and cannot be replayed"
         )
+    # a relative --out replays against the current directory, so replay
+    # only where it names this manifest's outputs again
+    out = build_parser().parse_args(manifest["argv"]).out
+    written = Path(out + ".manifest.json")
+    here = Path(ns.manifest).resolve()
+    if written.resolve() != here:
+        where = (
+            f"; run rerun from {here.parents[len(written.parts) - 1]}"
+            if not written.is_absolute() and ".." not in written.parts
+            else ""
+        )
+        raise DataError(f"manifest replays --out {out!r} from another directory{where}")
     for path, digest in manifest.get("inputs", {}).items():
         actual = _sha256(path)
         if actual != digest:
@@ -389,7 +409,8 @@ def build_parser() -> _Parser:
     sp.add_argument("spec")
     sp.add_argument("--out", default="report.json")
     sp.add_argument("--csv", default=None, help="also write a flat CSV table")
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="accepted for compatibility and ignored; cells run serially")
     sp.add_argument("--no-timing", action="store_true",
                     help="zero the wall_time_ms fields for reproducible bytes")
     sp.set_defaults(func=_cmd_benchmark)

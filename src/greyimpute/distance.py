@@ -28,7 +28,6 @@ import numpy as np
 
 __all__ = [
     "DeltaBounds",
-    "GreyParams",
     "delta_bounds",
     "HeomMetric",
     "GreyMetric",
@@ -50,17 +49,6 @@ class DeltaBounds:
     def __post_init__(self):
         if not (0.0 <= self.delta_min <= self.delta_max):
             raise ValueError(f"invalid bounds ({self.delta_min}, {self.delta_max})")
-
-
-@dataclass(frozen=True)
-class GreyParams:
-    """Distinguishing coefficient rho in [0, 1]; 0.5 is the usual choice."""
-
-    rho: float = 0.5
-
-    def __post_init__(self):
-        if not (0.0 <= self.rho <= 1.0):
-            raise ValueError(f"rho must be in [0, 1], got {self.rho}")
 
 
 def delta_bounds(
@@ -114,25 +102,27 @@ class GreyMetric:
     The coefficient of a continuous feature is (dmin + rho*dmax) /
     (|q - c| + rho*dmax); a zero denominator only occurs when every
     candidate value equals the query, which is perfect similarity, so it
-    gives 1. Categorical features give exact-match 0/1. The grade is the
-    mean of the coefficients, evaluated as the uniform-weight sum, or
-    their weighted sum when simplex weights are given.
+    gives 1. The distinguishing coefficient rho lies in [0, 1] (the
+    engine's :class:`ImputeConfig` checks the range). Categorical
+    features give exact-match 0/1. The grade is the mean of the
+    coefficients, evaluated as the uniform-weight sum, or their weighted
+    sum when simplex weights are given.
 
     Candidate rows must be complete; the query may contain NaN (those
     features score a coefficient of 0 against every candidate and are
     excluded from the bounds).
     """
 
-    def __init__(self, categorical, params: GreyParams = GreyParams(), weights=None):
+    def __init__(self, categorical, rho: float = 0.5, weights=None):
         self.categorical = np.asarray(categorical, dtype=bool)
-        self.params = params
+        self.rho = rho
         self.weights = None if weights is None else np.asarray(weights, float)
 
     def distances(self, query: np.ndarray, candidates: np.ndarray) -> np.ndarray:
         nc = candidates.shape[0]
         p = len(self.categorical)
         bounds = delta_bounds(query, candidates, self.categorical)
-        num = bounds.delta_min + self.params.rho * bounds.delta_max
+        num = bounds.delta_min + self.rho * bounds.delta_max
         weights = np.full(p, 1.0 / p) if self.weights is None else self.weights
         grade = np.zeros(nc)
         for j in range(p):
@@ -145,7 +135,7 @@ class GreyMetric:
             return np.zeros(nc)
         if self.categorical[j]:
             return (candidates[:, j] == query[j]).astype(float)
-        den = np.abs(candidates[:, j] - query[j]) + self.params.rho * bounds.delta_max
+        den = np.abs(candidates[:, j] - query[j]) + self.rho * bounds.delta_max
         with np.errstate(divide="ignore", invalid="ignore"):
             g = np.where(den == 0.0, 1.0, num / den)
         return g

@@ -24,12 +24,12 @@ estimates are distance-weighted.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import Dataset, RangeTable, normalize, validate
-from .distance import GreyMetric, GreyParams, HeomMetric
+from .distance import GreyMetric, HeomMetric
 from .errors import (
     DataError,
     InsufficientCandidatesError,
@@ -37,7 +37,7 @@ from .errors import (
     TooFewRowsError,
 )
 from .folds import effective_fold_count, stratified_fold_ids
-from .relevance import ParzenSettings, dataset_class_weights, feature_feature_weights
+from .relevance import dataset_class_weights, feature_feature_weights
 
 __all__ = [
     "Method",
@@ -93,11 +93,24 @@ PLANS = {
 _NEEDS_LABELS = {Method.MIKNN, Method.GKNN, Method.FWGKNN, Method.CGKNN}
 
 
+def _positive_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
+
+
+def _real(value) -> bool:
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ImputeConfig:
-    """Everything a run needs besides the data.
+    """Everything a run needs besides the data: the one place that
+    declares, defaults and checks a run parameter.
 
-    ``k=None`` selects k from ``k_grid`` by cross-validation.
+    ``k=None`` selects k from ``k_grid`` by ``folds``-fold stratified
+    cross-validation; ``rho`` is the grey distinguishing coefficient in
+    [0, 1]; a run stops when the largest cell change drops below
+    ``epsilon`` or after ``max_iter`` sweeps. A bad value raises
+    :class:`DataError` naming the parameter.
     """
 
     method: Method = Method.CGKNN
@@ -108,19 +121,27 @@ class ImputeConfig:
     max_iter: int = 50
     seed: int = 0
     folds: int = 10
-    parzen: ParzenSettings = field(default_factory=ParzenSettings)
 
     def __post_init__(self):
-        object.__setattr__(self, "method", Method(self.method))
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
-        if self.k is not None and self.k < 1:
-            raise ValueError("k must be positive")
-        if not self.k_grid or any(k < 1 for k in self.k_grid):
-            raise ValueError("k_grid must hold positive integers")
-        GreyParams(self.rho)
+        try:
+            object.__setattr__(self, "method", Method(self.method))
+        except ValueError:
+            valid = ", ".join(m.value for m in Method)
+            raise DataError(f"unknown method {self.method!r}; valid methods: {valid}") from None
+        for name in ("max_iter", "folds") + (() if self.k is None else ("k",)):
+            if not _positive_int(getattr(self, name)):
+                raise DataError(f"{name} must be a positive integer, got {getattr(self, name)!r}")
+        try:
+            grid = tuple(self.k_grid)
+        except TypeError:
+            grid = ()
+        if not grid or not all(_positive_int(k) for k in grid):
+            raise DataError(f"k_grid must hold positive integers, got {self.k_grid!r}")
+        object.__setattr__(self, "k_grid", grid)
+        if not (_real(self.rho) and 0.0 <= self.rho <= 1.0):
+            raise DataError(f"rho must be a number in [0, 1], got {self.rho!r}")
+        if not (_real(self.epsilon) and self.epsilon > 0):
+            raise DataError(f"epsilon must be a positive number, got {self.epsilon!r}")
 
 
 @dataclass(frozen=True)
@@ -211,7 +232,7 @@ def select_k(
     labels: np.ndarray,
     metric,
     grid: tuple[int, ...] = DEFAULT_K_GRID,
-    folds: int = 10,
+    folds: int = ImputeConfig.folds,
     seed: int = 0,
 ) -> int:
     """Pick k from the grid by stratified CV misclassification of a
@@ -343,7 +364,7 @@ class SweepResult:
 def _build_metric(plan: MethodPlan, schema, rho: float, weights):
     cat = schema.categorical_mask
     if plan.metric == "grey":
-        return GreyMetric(cat, GreyParams(rho), weights)
+        return GreyMetric(cat, rho, weights)
     return HeomMetric(cat, weights)
 
 
@@ -377,7 +398,7 @@ def prepare(
     if weights_override is not None:
         weights = np.asarray(weights_override, dtype=float)
     elif plan.weight_source == "class_mi":
-        weights, _ = dataset_class_weights(initial, config.parzen)
+        weights, _ = dataset_class_weights(initial)
     elif plan.weight_source == "feature_mi":
         weights = feature_feature_weights(initial)
     else:

@@ -21,7 +21,7 @@ import inspect
 import numpy as np
 
 from .dataset import Dataset, Feature, Schema
-from .engine import ImputeConfig, Method, impute_test, run_impute
+from .engine import DEFAULT_K_GRID, ImputeConfig, impute_test, run_impute
 from .errors import DataError
 
 __all__ = ["GreyKNNImputer", "check_matrix"]
@@ -50,18 +50,20 @@ class GreyKNNImputer:
     n_neighbors : int or None, default=None
         Neighborhood size; None selects it from ``k_grid`` by stratified
         cross-validation (requires ``y`` at fit time).
-    k_grid : tuple of int
+    k_grid : tuple of int, default=DEFAULT_K_GRID
         Candidate neighborhood sizes for the selection.
-    rho : float, default=0.5
-        Grey distinguishing coefficient.
-    epsilon : float, default=1e-4
+    rho : float, default=ImputeConfig.rho
+        Grey distinguishing coefficient in [0, 1].
+    epsilon : float, default=ImputeConfig.epsilon
         Convergence tolerance on the largest per-iteration cell change.
-    max_iter : int, default=50
+    max_iter : int, default=ImputeConfig.max_iter
         Iteration cap.
     categorical_features : tuple of int, default=()
         Column indices holding categorical level codes.
     random_state : int, default=0
         Seed for fold assignment.
+
+    A bad parameter value raises :class:`DataError` at ``fit``.
 
     Attributes
     ----------
@@ -75,14 +77,14 @@ class GreyKNNImputer:
 
     def __init__(
         self,
-        method="cgknn",
-        n_neighbors=None,
-        k_grid=(1, 3, 5, 7, 9, 11, 13, 15),
-        rho=0.5,
-        epsilon=1e-4,
-        max_iter=50,
+        method=ImputeConfig.method.value,
+        n_neighbors=ImputeConfig.k,
+        k_grid=DEFAULT_K_GRID,
+        rho=ImputeConfig.rho,
+        epsilon=ImputeConfig.epsilon,
+        max_iter=ImputeConfig.max_iter,
         categorical_features=(),
-        random_state=0,
+        random_state=ImputeConfig.seed,
     ):
         self.method = method
         self.n_neighbors = n_neighbors
@@ -145,9 +147,9 @@ class GreyKNNImputer:
 
     def _config(self) -> ImputeConfig:
         return ImputeConfig(
-            method=Method(self.method),
+            method=self.method,
             k=self.n_neighbors,
-            k_grid=tuple(self.k_grid),
+            k_grid=self.k_grid,
             rho=self.rho,
             epsilon=self.epsilon,
             max_iter=self.max_iter,

@@ -7,13 +7,16 @@ and categorical errors are commensurable (a wrong category counts 1).
 Downstream effect is scored as stratified k-fold naive-Bayes
 classification accuracy on the imputed data, against a no-imputation
 baseline fit on complete cases only.
+
+:func:`benchmark` runs its cells one after another: the cells are
+interpreter-bound, so a thread pool over them measured slower than
+serial.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,6 +42,7 @@ __all__ = [
     "kfold_cv",
     "no_imputation_cv",
     "BenchmarkSpec",
+    "REPORT_FIELDS",
     "benchmark",
 ]
 
@@ -152,7 +156,7 @@ def classification_accuracy(predicted, truth) -> float:
     return float((predicted == truth).mean())
 
 
-def kfold_cv(dataset: Dataset, folds: int = 10, seed: int = 0) -> float:
+def kfold_cv(dataset: Dataset, folds: int = ImputeConfig.folds, seed: int = 0) -> float:
     """Mean held-out naive-Bayes accuracy over stratified folds."""
     if dataset.labels is None:
         raise DataError("cross-validation needs class labels")
@@ -175,7 +179,9 @@ def kfold_cv(dataset: Dataset, folds: int = 10, seed: int = 0) -> float:
     return float(np.mean(accs))
 
 
-def no_imputation_cv(dataset: Dataset, folds: int = 10, seed: int = 0) -> float:
+def no_imputation_cv(
+    dataset: Dataset, folds: int = ImputeConfig.folds, seed: int = 0
+) -> float:
     """Baseline accuracy without imputation: fit on the training fold's
     complete cases only; fill a test row's gaps with the training fold's
     observed column means/modes at predict time."""
@@ -225,6 +231,9 @@ class BenchmarkSpec:
     sources are loaded by the CLI before building the spec). The MCAR
     mechanism masks ``mcar_columns``; the MAR mechanism calibrates a
     logistic model on ``mar_predictors``/``mar_targets`` to each rate.
+    ``config`` holds the run parameters shared by every cell; the sweep
+    sets its ``method`` and ``seed`` per cell, and its ``folds`` also
+    drive the accuracy cross-validation.
     """
 
     dataset: object
@@ -235,16 +244,12 @@ class BenchmarkSpec:
     mcar_columns: tuple = ("x1",)
     mar_targets: tuple[int, ...] | None = None
     mar_predictors: tuple[int, ...] | None = None
-    k: int | None = None
-    k_grid: tuple[int, ...] = (1, 3, 5, 7, 9, 11, 13, 15)
-    rho: float = 0.5
-    epsilon: float = 1e-4
-    max_iter: int = 50
-    folds: int = 10
+    config: ImputeConfig = field(default_factory=ImputeConfig)
     timing: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "methods", tuple(Method(m) for m in self.methods))
+        methods = tuple(replace(self.config, method=m).method for m in self.methods)
+        object.__setattr__(self, "methods", methods)
         if not self.seeds:
             raise DataError("at least one seed is required")
         if any(not (0.0 < r < 1.0) for r in self.rates):
@@ -281,31 +286,24 @@ def _inject(spec: BenchmarkSpec, truth: Dataset, default_mar, rate: float, seed:
     return inject_mar(truth, mar, inj_seed)
 
 
+# the columns of a benchmark row, in report and CSV order
+REPORT_FIELDS = (
+    "method", "missing_rate", "seed", "rmse", "classification_accuracy",
+    "baseline_accuracy", "iterations", "chosen_k", "wall_time_ms",
+    "converged", "pool_fallback", "error",
+)
+
+
 def _run_cell(spec, method, rate, seed, truth, injected, baseline):
-    row = {
-        "method": method.value,
-        "missing_rate": float(rate),
-        "seed": int(seed),
-        "rmse": None,
-        "classification_accuracy": None,
-        "baseline_accuracy": baseline,
-        "iterations": None,
-        "chosen_k": None,
-        "wall_time_ms": 0.0,
-        "converged": None,
-        "pool_fallback": None,
-        "error": None,
-    }
-    config = ImputeConfig(
-        method=method,
-        k=spec.k,
-        k_grid=spec.k_grid,
-        rho=spec.rho,
-        epsilon=spec.epsilon,
-        max_iter=spec.max_iter,
-        seed=seed,
-        folds=spec.folds,
+    row = dict.fromkeys(REPORT_FIELDS)
+    row.update(
+        method=method.value,
+        missing_rate=float(rate),
+        seed=int(seed),
+        baseline_accuracy=baseline,
+        wall_time_ms=0.0,
     )
+    config = replace(spec.config, method=method, seed=seed)
     try:
         start = time.perf_counter()
         result = run_impute(injected, config)
@@ -313,7 +311,7 @@ def _run_cell(spec, method, rate, seed, truth, injected, baseline):
         positions = truth.mask & ~injected.mask
         row["rmse"] = rmse(truth, result.completed, positions)
         row["classification_accuracy"] = kfold_cv(
-            result.completed, spec.folds, derive_seed(seed, 0xCA)
+            result.completed, spec.config.folds, derive_seed(seed, 0xCA)
         )
         row["iterations"] = result.iterations
         row["chosen_k"] = result.chosen_k
@@ -326,31 +324,22 @@ def _run_cell(spec, method, rate, seed, truth, injected, baseline):
     return row
 
 
-def benchmark(spec: BenchmarkSpec, jobs: int = 1) -> list[dict]:
-    """Run the full method x rate x seed sweep.
+def benchmark(spec: BenchmarkSpec) -> list[dict]:
+    """Run the full method x rate x seed sweep, one cell after another.
 
     Per cell: retain the truth, inject missingness, impute, score RMSE
     against the truth and accuracy by naive-Bayes CV. Failures are recorded
     on their row without aborting the sweep. Output order is canonical
-    (method, rate, seed), so parallel runs serialize identically.
+    (method, rate, seed).
     """
-    cells = []
+    rows = []
     for seed in spec.seeds:
         truth, default_mar = _truth_for(spec, seed)
         for rate in spec.rates:
             injected = _inject(spec, truth, default_mar, rate, seed)
-            baseline = no_imputation_cv(injected, spec.folds, derive_seed(seed, 0xBA))
+            baseline = no_imputation_cv(injected, spec.config.folds, derive_seed(seed, 0xBA))
             for method in spec.methods:
-                cells.append((method, rate, seed, truth, injected, baseline))
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(
-                pool.map(lambda c: _run_cell(spec, *c), cells)
-            )
-    else:
-        rows = [_run_cell(spec, *c) for c in cells]
-
+                rows.append(_run_cell(spec, method, rate, seed, truth, injected, baseline))
     order = {m: i for i, m in enumerate(spec.methods)}
     rows.sort(key=lambda r: (order[Method(r["method"])], r["missing_rate"], r["seed"]))
     return rows

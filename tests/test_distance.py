@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from greyimpute.distance import (
     DeltaBounds,
     GreyMetric,
-    GreyParams,
     HeomMetric,
     delta_bounds,
 )
@@ -28,7 +27,7 @@ def heom_pair(a, b, cat, weights=None):
 def grades(query, candidates, cat, weights=None):
     """Grey relational grades of each candidate against the query, under
     bounds shared by the whole candidate matrix."""
-    metric = GreyMetric(cat, GreyParams(0.5), weights)
+    metric = GreyMetric(cat, 0.5, weights)
     return 1.0 - metric.distances(np.asarray(query, float), np.asarray(candidates, float))
 
 
@@ -99,6 +98,10 @@ class TestDeltaBounds:
         c = np.array([[1.0, 0.3]])
         b = delta_bounds(q, c, np.array([True, False]))
         assert (b.delta_min, b.delta_max) == (pytest.approx(0.2), pytest.approx(0.2))
+
+    def test_bounds_ordering_enforced(self):
+        with pytest.raises(ValueError):
+            DeltaBounds(0.5, 0.2)
 
 
 class TestGrc:
@@ -189,7 +192,6 @@ class TestBatchKernels:
 
     def test_grey_batch_matches_scalar_bitwise(self, rng):
         cat = np.array([False, False, True])
-        params = GreyParams(0.5)
         w = np.array([0.5, 0.3, 0.2])
         for _ in range(10):
             q = rng.random(3)
@@ -198,7 +200,7 @@ class TestBatchKernels:
                 q[1] = NAN
             c = rng.random((6, 3))
             c[:, 2] = rng.integers(0, 2, size=6)
-            metric = GreyMetric(cat, params, w)
+            metric = GreyMetric(cat, 0.5, w)
             batch = metric.distances(q, c)
             dmin, dmax = oracle_bounds(q, c, cat)
             scalar = [1.0 - oracle_grg(q, c[i], cat, dmin, dmax, 0.5, w) for i in range(6)]
@@ -211,15 +213,3 @@ class TestBatchKernels:
         plain = GreyMetric(cat).distances(q, c)
         uniform = GreyMetric(cat, weights=np.full(3, 1.0 / 3.0)).distances(q, c)
         assert plain.tolist() == uniform.tolist()
-
-
-class TestGreyParams:
-    def test_rho_bounds(self):
-        with pytest.raises(ValueError):
-            GreyParams(1.5)
-        with pytest.raises(ValueError):
-            GreyParams(-0.1)
-
-    def test_bounds_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            DeltaBounds(0.5, 0.2)

@@ -199,6 +199,31 @@ def _mcar(ds, cols, rate, seed):
     return inject_mcar(ds, cols, rate, seed)
 
 
+class TestImputeConfig:
+    def test_rho_bounds(self):
+        with pytest.raises(ValueError):
+            ImputeConfig(rho=1.5)
+        with pytest.raises(ValueError):
+            ImputeConfig(rho=-0.1)
+
+    @pytest.mark.parametrize("name, value", [
+        ("method", "sparkle"),
+        ("k", 0), ("k", 2.5), ("k", True), ("k", "3"),
+        ("k_grid", ()), ("k_grid", (1.5, 3)), ("k_grid", (0,)), ("k_grid", 3), ("k_grid", "13"),
+        ("max_iter", 0), ("max_iter", 2.5), ("folds", 0), ("folds", True),
+        ("rho", "0.5"), ("rho", NAN), ("rho", 2.0),
+        ("epsilon", 0.0), ("epsilon", -1e-4), ("epsilon", "1e-4"), ("epsilon", NAN),
+    ])
+    def test_bad_value_is_data_error_naming_the_parameter(self, name, value):
+        with pytest.raises(DataError, match=name):
+            ImputeConfig(**{name: value})
+
+    def test_numpy_ints_and_lists_accepted(self):
+        config = ImputeConfig(k=np.int64(3), k_grid=[1, np.int64(3)], max_iter=np.int32(4))
+        assert config.k_grid == (1, 3)
+        assert config == ImputeConfig(k=3, k_grid=(1, 3), max_iter=4)
+
+
 class TestRunImpute:
     def test_complete_dataset_is_identity(self, rng):
         ds = build_dataset(rng.normal(size=(12, 3)), labels=rng.integers(0, 2, 12))

@@ -83,6 +83,15 @@ class TestFitTransform:
         with pytest.raises(DataError):
             est.transform(np.zeros((2, 5)))
 
+    @pytest.mark.parametrize("param", [
+        {"n_neighbors": 2.5}, {"k_grid": (1.5, 3)}, {"max_iter": 2.5}, {"rho": 2.0},
+        {"method": "sparkle"},
+    ])
+    def test_bad_parameters_rejected_at_fit(self, rng, param):
+        _, holed, y = _toy(rng)
+        with pytest.raises(DataError):
+            GreyKNNImputer(categorical_features=(2,), **param).fit(holed, y)
+
     def test_bad_categorical_codes_rejected(self):
         est = GreyKNNImputer(categorical_features=(0,), n_neighbors=1)
         with pytest.raises(DataError):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from greyimpute.engine import ImputeConfig
 from greyimpute.errors import (
     DataError,
     DegenerateClassError,
@@ -8,6 +9,7 @@ from greyimpute.errors import (
     LengthMismatchError,
 )
 from greyimpute.evaluate import (
+    REPORT_FIELDS,
     BenchmarkSpec,
     benchmark,
     classification_accuracy,
@@ -18,7 +20,6 @@ from greyimpute.evaluate import (
     rmse,
 )
 from greyimpute.folds import stratified_fold_ids
-from greyimpute.io import write_report
 
 from conftest import build_dataset
 
@@ -205,6 +206,7 @@ class TestBenchmark:
     def test_grid_shape_and_ordering(self):
         rows = benchmark(self._small_spec())
         assert len(rows) == 4
+        assert all(tuple(r) == REPORT_FIELDS for r in rows)
         assert [r["method"] for r in rows] == ["meanmode"] * 2 + ["cgknn"] * 2
         assert all(r["baseline_accuracy"] is not None for r in rows)
 
@@ -213,12 +215,6 @@ class TestBenchmark:
         mm = np.mean([r["rmse"] for r in rows if r["method"] == "meanmode"])
         cg = np.mean([r["rmse"] for r in rows if r["method"] == "cgknn"])
         assert mm > cg
-
-    def test_serial_and_parallel_reports_identical(self):
-        spec = self._small_spec()
-        serial = write_report(benchmark(spec, jobs=1))
-        parallel = write_report(benchmark(spec, jobs=3))
-        assert serial == parallel
 
     def test_mar_mechanism_on_mvn(self):
         spec = BenchmarkSpec(
@@ -235,7 +231,7 @@ class TestBenchmark:
         ds = build_dataset(x, labels=y)
         spec = BenchmarkSpec(
             dataset=ds, methods=("iknn",), rates=(0.2,), seeds=(5,),
-            mcar_columns=("f0",), k=3, timing=False,
+            mcar_columns=("f0",), config=ImputeConfig(k=3), timing=False,
         )
         rows = benchmark(spec)
         assert rows[0]["error"] is None
@@ -244,9 +240,13 @@ class TestBenchmark:
         with pytest.raises(DataError):
             self._small_spec(rates=(1.5,))
 
+    def test_unknown_method_rejected(self):
+        with pytest.raises(DataError, match="valid methods"):
+            self._small_spec(methods=("meanmode", "sparkle"))
+
     def test_failures_recorded_not_raised(self):
         # k larger than any candidate pool forces a per-cell failure
-        spec = self._small_spec(methods=("cgknn",), seeds=(1,), k=400)
+        spec = self._small_spec(methods=("cgknn",), seeds=(1,), config=ImputeConfig(k=400))
         rows = benchmark(spec)
         assert rows[0]["error"] is not None
         assert rows[0]["rmse"] is None

@@ -6,7 +6,6 @@ import pytest
 from greyimpute.errors import EmptyInputError
 from greyimpute.relevance import (
     MIEstimate,
-    ParzenSettings,
     class_weights,
     conditional_entropy_discrete,
     dataset_class_weights,
@@ -81,12 +80,6 @@ class TestParzenConditionalEntropy:
         y = np.array([0, 1] * 5)
         h = parzen_conditional_entropy(x, y, 2)
         assert h == pytest.approx(1.0)  # posterior falls back to the priors
-
-    def test_rectangular_window(self, rng):
-        x = np.concatenate([rng.normal(-5, 0.3, 30), rng.normal(5, 0.3, 30)])
-        y = np.array([0] * 30 + [1] * 30)
-        h = parzen_conditional_entropy(x, y, 2, ParzenSettings(window="rectangular"))
-        assert h <= 0.05
 
 
 class TestMutualInformation:
