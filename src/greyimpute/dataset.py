@@ -12,6 +12,7 @@ objects.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,11 +79,16 @@ class Schema:
     def categorical_mask(self) -> np.ndarray:
         return np.array([f.is_categorical for f in self.features], dtype=bool)
 
-    def index_of(self, name: str) -> int:
-        for j, f in enumerate(self.features):
-            if f.name == name:
-                return j
-        raise KeyError(name)
+    def index_of(self, column: str | int) -> int:
+        """Position of a feature given by name or by index (negative ones
+        count from the end)."""
+        if isinstance(column, str):
+            for j, f in enumerate(self.features):
+                if f.name == column:
+                    return j
+        elif isinstance(column, numbers.Integral) and -self.p <= column < self.p:
+            return int(column) % self.p
+        raise DataError(f"unknown column {column!r}")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Distances from one query row to a matrix of candidate rows.
+"""Distances from a block of query rows to a matrix of candidate rows.
 
 Two families are implemented, both on the unit scale the engine
 normalizes continuous columns onto:
@@ -9,70 +9,50 @@ normalizes continuous columns onto:
   cells, combined as the (optionally feature-weighted) root of summed
   squares;
 * grey relational similarity (:class:`GreyMetric`): per-feature grey
-  relational coefficients anchored to the query's candidate set,
+  relational coefficients anchored to each query's candidate set,
   averaged (or feature-weighted) into a grade in [0, 1]; the ranking
   distance is one minus the grade.
 
-Both kernels accumulate features left to right, and ``tests/_oracles.py``
-holds independent per-cell forms of the same formulas that the kernels
-match bit for bit.
+``distances`` maps a (queries x p) block and a (candidates x p) matrix to
+(queries x candidates). Every element sums its features left to right
+whatever the block size, matching the independent per-cell forms in
+``tests/_oracles.py`` bit for bit.
 
 Missing cells are NaN throughout; candidate rows must be complete.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "DeltaBounds",
-    "delta_bounds",
     "HeomMetric",
     "GreyMetric",
 ]
 
 
-@dataclass(frozen=True)
-class DeltaBounds:
-    """Min/max absolute continuous difference between a query and its
-    candidate set, over pairs where both cells are observed.
-
-    The (0, 1) sentinel stands in when no such pair exists, keeping grey
-    coefficients finite and in range.
-    """
-
-    delta_min: float
-    delta_max: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.delta_min <= self.delta_max):
-            raise ValueError(f"invalid bounds ({self.delta_min}, {self.delta_max})")
+# bytes of float64 work arrays one kernel call or Parzen chunk may hold
+BLOCK_BYTES = 16 * 2**20
 
 
-def delta_bounds(
-    query: np.ndarray, candidates: np.ndarray, categorical: np.ndarray
-) -> DeltaBounds:
-    """Bounds over all (candidate, continuous feature) pairs observed on
-    both sides. Candidates must exclude the query row itself."""
-    cont = ~np.asarray(categorical, dtype=bool)
-    if candidates.ndim == 1:
-        candidates = candidates[None, :]
-    q = query[cont]
-    c = candidates[:, cont]
-    diffs = np.abs(c - q)
-    valid = ~np.isnan(diffs)
-    if not valid.any():
-        return DeltaBounds(0.0, 1.0)
-    d = diffs[valid]
-    return DeltaBounds(float(d.min()), float(d.max()))
+def block_rows(width: int, arrays: int) -> int:
+    """Rows per block such that ``arrays`` float64 arrays of (rows x
+    width) fit in :data:`BLOCK_BYTES`; at least one."""
+    return max(1, BLOCK_BYTES // (8 * max(width, 1) * arrays))
+
+
+def _gaps(queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """|candidate - query| as a (features x queries x candidates) array,
+    NaN where the query cell is missing."""
+    cols = np.ascontiguousarray(np.asarray(candidates, dtype=float).T)
+    gaps = np.subtract(cols[:, None, :], queries.T[:, :, None])
+    return np.abs(gaps, out=gaps)
 
 
 class HeomMetric:
-    """Batch HEOM distances from one query row to a candidate matrix.
+    """Batch HEOM distances from a block of query rows to a candidate matrix.
 
-    Candidate rows must be complete; the query may contain NaN (each such
+    Candidate rows must be complete; queries may contain NaN (each such
     feature contributes the missing-cell distance of 1 to every pair).
     """
 
@@ -80,35 +60,47 @@ class HeomMetric:
         self.categorical = np.asarray(categorical, dtype=bool)
         self.weights = None if weights is None else np.asarray(weights, float)
 
-    def distances(self, query: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-        nc = candidates.shape[0]
-        acc = np.zeros(nc)
-        for j in range(len(self.categorical)):
-            if np.isnan(query[j]):
-                d = np.ones(nc)
-            elif self.categorical[j]:
-                d = (candidates[:, j] != query[j]).astype(float)
-            else:
-                d = np.abs(candidates[:, j] - query[j])
-            w = 1.0 if self.weights is None else self.weights[j]
-            acc += w * d * d
-        return np.sqrt(acc)
+    def distances(self, queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+        d = _gaps(queries, candidates)
+        cat = self.categorical
+        if cat.any():
+            # overlap: two finite values differ exactly when their gap is nonzero
+            d[cat] = d[cat] != 0.0
+        d[np.isnan(queries).T] = 1.0
+        acc = np.zeros(d.shape[1:])
+        for j, dj in enumerate(d):  # features left to right
+            dj *= dj if self.weights is None else dj * self.weights[j]  # (w * d) * d
+            acc += dj
+        return np.sqrt(acc, out=acc)
+
+
+def _bounds(gaps: np.ndarray, categorical: np.ndarray):
+    """Each query's min and max gap over its observed continuous cells, or
+    the (0, 1) sentinel when it has none, keeping grey coefficients finite.
+    fmin/fmax skip the NaN rows of missing query cells."""
+    cont = ~categorical[:, None]
+    dmin = np.fmin.reduce(gaps.min(axis=2), axis=0, initial=np.nan, where=cont)
+    dmax = np.fmax.reduce(gaps.max(axis=2), axis=0, initial=np.nan, where=cont)
+    none = np.isnan(dmin)
+    dmin[none], dmax[none] = 0.0, 1.0
+    return dmin, dmax
 
 
 class GreyMetric:
-    """Batch grey distances (1 - GRG) from one query row to a candidate
-    matrix, with delta bounds recomputed per query over that candidate set.
+    """Batch grey distances (1 - GRG) from a block of query rows to a
+    candidate matrix, with delta bounds taken per query over the whole
+    candidate matrix.
 
     The coefficient of a continuous feature is (dmin + rho*dmax) /
-    (|q - c| + rho*dmax); a zero denominator only occurs when every
-    candidate value equals the query, which is perfect similarity, so it
-    gives 1. The distinguishing coefficient rho lies in [0, 1] (the
+    (|q - c| + rho*dmax); a zero denominator only occurs when rho*dmax is
+    0 and the candidate equals the query, which is perfect similarity, so
+    it gives 1. The distinguishing coefficient rho lies in [0, 1] (the
     engine's :class:`ImputeConfig` checks the range). Categorical
     features give exact-match 0/1. The grade is the mean of the
     coefficients, evaluated as the uniform-weight sum, or their weighted
     sum when simplex weights are given.
 
-    Candidate rows must be complete; the query may contain NaN (those
+    Candidate rows must be complete; queries may contain NaN (those
     features score a coefficient of 0 against every candidate and are
     excluded from the bounds).
     """
@@ -118,24 +110,27 @@ class GreyMetric:
         self.rho = rho
         self.weights = None if weights is None else np.asarray(weights, float)
 
-    def distances(self, query: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-        nc = candidates.shape[0]
-        p = len(self.categorical)
-        bounds = delta_bounds(query, candidates, self.categorical)
-        num = bounds.delta_min + self.rho * bounds.delta_max
-        weights = np.full(p, 1.0 / p) if self.weights is None else self.weights
-        grade = np.zeros(nc)
-        for j in range(p):
-            grade += weights[j] * self._coeff(query, candidates, j, bounds, num)
-        return 1.0 - grade
-
-    def _coeff(self, query, candidates, j, bounds, num):
-        nc = candidates.shape[0]
-        if np.isnan(query[j]):
-            return np.zeros(nc)
-        if self.categorical[j]:
-            return (candidates[:, j] == query[j]).astype(float)
-        den = np.abs(candidates[:, j] - query[j]) + self.rho * bounds.delta_max
+    def distances(self, queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+        g = _gaps(queries, candidates)
+        cat = self.categorical
+        p = len(cat)
+        dmin, dmax = _bounds(g, cat)
+        match = g[cat] == 0.0
+        rdmax = (self.rho * dmax)[:, None]
+        g += rdmax
+        # categorical slabs take this formula too (and may divide by zero)
+        # until their matches overwrite them
         with np.errstate(divide="ignore", invalid="ignore"):
-            g = np.where(den == 0.0, 1.0, num / den)
-        return g
+            np.divide(dmin[:, None] + rdmax, g, out=g)
+        # dmin is the smallest continuous gap, so every continuous ratio is
+        # at most 1 and its only NaN is 0/0: perfect similarity, 1
+        flat = rdmax[:, 0] == 0.0
+        if flat.any():
+            g[:, flat] = np.fmin(g[:, flat], 1.0)
+        g[cat] = match
+        g[np.isnan(queries).T] = 0.0
+        g *= (np.full(p, 1.0 / p) if self.weights is None else self.weights)[:, None, None]
+        grade = np.zeros(g.shape[1:])
+        for gj in g:  # features left to right
+            grade += gj
+        return np.subtract(1.0, grade, out=grade)

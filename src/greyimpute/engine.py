@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, RangeTable, normalize, validate
-from .distance import GreyMetric, HeomMetric
+from .distance import GreyMetric, HeomMetric, block_rows
 from .errors import (
     DataError,
     InsufficientCandidatesError,
@@ -218,13 +218,53 @@ def initial_impute(dataset: Dataset, per_class: bool = False) -> Dataset:
     return dataset.with_values(vals, np.ones_like(dataset.mask))
 
 
-def _majority(ranked_labels: np.ndarray) -> int:
-    counts = np.bincount(ranked_labels)
-    best = counts.max()
-    for lab in ranked_labels:
-        if counts[lab] == best:
-            return int(lab)
-    raise AssertionError("unreachable")
+def _nearest(d: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of each row's k smallest entries, ascending by
+    (value, index): exactly ``np.argsort(d, axis=1, kind="stable")[:, :k]``.
+    Only the entries at or below a row's kth smallest value, which always
+    hold the k wanted ones, are stable-sorted."""
+    kth = np.partition(d, k - 1, axis=1)[:, k - 1]
+    out = np.empty((len(d), k), dtype=np.intp)
+    for i, row in enumerate(d):
+        near = np.flatnonzero(row <= kth[i])  # ascending, so ties stay by index
+        out[i] = near[row[near].argsort(kind="stable")[:k]]
+    return out
+
+
+def _ranked_blocks(metric, queries, candidates, k):
+    """(offset, distances, k nearest) per block of query rows; a kernel call
+    holds one (features x rows x candidates) array and a few (rows x
+    candidates) ones, all within :data:`greyimpute.distance.BLOCK_BYTES`."""
+    step = block_rows(len(candidates), candidates.shape[1] + 4)
+    for start in range(0, len(queries), step):
+        d = metric.distances(queries[start:start + step], candidates)
+        yield start, d, _nearest(d, k)
+
+
+def _cv_errors(values, labels, metric, grid, folds, seed) -> dict[int, int]:
+    """Stratified CV errors of a kNN classifier for every grid k no larger
+    than the smallest training fold, read off one ranking per query by
+    cumulative class counts; vote ties go to the tied label ranked first."""
+    n_classes = int(labels.max()) + 1
+    folds = effective_fold_count(labels, folds)
+    fold_ids = stratified_fold_ids(labels, folds, seed)
+    smallest_train = len(labels) - np.bincount(fold_ids).max()
+    errors = {k: 0 for k in grid if k <= smallest_train}
+    if not errors:
+        return errors
+    kmax = max(errors)
+    for f in range(folds):
+        train, held = fold_ids != f, fold_ids == f
+        train_labels, held_labels = labels[train], labels[held]
+        for start, _, nearest in _ranked_blocks(metric, values[held], values[train], kmax):
+            hits = train_labels[nearest][:, :, None] == np.arange(n_classes)
+            counts = np.cumsum(hits, axis=1)
+            first = hits.argmax(axis=1)  # rank of each label's nearest; absent ones never tie
+            truth = held_labels[start:start + len(hits)]
+            for k in errors:
+                tied = counts[:, k - 1] == counts[:, k - 1].max(axis=1, keepdims=True)
+                errors[k] += int((np.where(tied, first, kmax).argmin(axis=1) != truth).sum())
+    return errors
 
 
 def select_k(
@@ -239,33 +279,17 @@ def select_k(
     k-nearest-neighbor classifier under the given metric.
 
     Ties go to the smallest k. Grid values larger than a training fold are
-    skipped. The matrix must be complete (pre-filled).
+    skipped. The matrix must be complete (pre-filled). Test folds are
+    scored in query blocks of fixed byte size, so memory grows linearly.
     """
     labels = np.asarray(labels, dtype=int)
     n = len(labels)
     if n < 4:
         raise TooFewRowsError(f"k selection needs at least 4 rows, got {n}")
-    grid = tuple(sorted(set(grid)))
-    folds = effective_fold_count(labels, folds)
-    fold_ids = stratified_fold_ids(labels, folds, seed)
-    errors = {k: 0 for k in grid}
-    usable = {k: True for k in grid}
-    for f in range(folds):
-        train = np.nonzero(fold_ids != f)[0]
-        test = np.nonzero(fold_ids == f)[0]
-        for k in grid:
-            if k > len(train):
-                usable[k] = False
-        for q in test:
-            d = metric.distances(values[q], values[train])
-            ranked = labels[train][np.argsort(d, kind="stable")]
-            for k in grid:
-                if usable[k] and _majority(ranked[:k]) != labels[q]:
-                    errors[k] += 1
-    candidates = [k for k in grid if usable[k]]
-    if not candidates:
+    errors = _cv_errors(values, labels, metric, tuple(sorted(set(grid))), folds, seed)
+    if not errors:
         raise TooFewRowsError("every grid value exceeds the training fold size")
-    return min(candidates, key=lambda k: (errors[k], k))
+    return min(errors, key=lambda k: (errors[k], k))
 
 
 def nearest_neighbors(
@@ -281,9 +305,8 @@ def nearest_neighbors(
         raise InsufficientCandidatesError(
             f"need {k} candidates, have {len(candidate_indices)}"
         )
-    d = metric.distances(query, candidate_rows)
-    order = np.argsort(d, kind="stable")[:k]
-    return [(int(candidate_indices[i]), float(d[i])) for i in order]
+    d = metric.distances(query[None, :], candidate_rows)
+    return [(int(candidate_indices[i]), float(d[0, i])) for i in _nearest(d, k)[0]]
 
 
 def impute_numeric_cell(
@@ -566,6 +589,7 @@ def impute_test(
 
     Neighbors are ranked over all training rows (the class is unknown at
     test time) with the training feature weights; there is no iteration.
+    Incomplete test rows are ranked in blocks of fixed byte size.
     A non-iterative method (mean/mode) fills every gap with the column
     mean/mode of the completed training matrix, which is the value its
     fit wrote into that column's missing training cells.
@@ -594,12 +618,15 @@ def impute_test(
         k = result.chosen_k if result.chosen_k >= 1 else 1
         if train.n < k:
             raise InsufficientCandidatesError(f"{train.n} training rows for k={k}")
-        pool = np.arange(train.n)
-        for r in np.nonzero(~test.mask.all(axis=1))[0]:
-            gaps = np.nonzero(~test.mask[r])[0]
-            nbrs = nearest_neighbors(test_vals[r], train_vals, pool, metric, k)
-            test_vals[r, gaps] = _estimate_row(
-                train_vals, nbrs, gaps, test.schema, plan.weighted_cells
-            )
+        rows = np.nonzero(~test.mask.all(axis=1))[0]
+        # each row's estimate writes only that row, so a block's queries
+        # may all be read before any of them is filled
+        for start, d, nearest in _ranked_blocks(metric, test_vals[rows], train_vals, k):
+            for r, dr, order in zip(rows[start:], d, nearest):
+                gaps = np.nonzero(~test.mask[r])[0]
+                nbrs = [(int(i), float(dr[i])) for i in order]
+                test_vals[r, gaps] = _estimate_row(
+                    train_vals, nbrs, gaps, test.schema, plan.weighted_cells
+                )
     out = np.where(test.mask, test.values, ranges.from_unit(test_vals))
     return Dataset(test.schema, out, np.ones_like(test.mask), test.labels)

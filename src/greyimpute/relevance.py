@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
+from .distance import block_rows
 from .errors import EmptyInputError
 
 __all__ = [
@@ -79,7 +80,9 @@ def parzen_conditional_entropy(
     The class posterior at each training point is its class-restricted
     kernel sum over its total kernel sum (the shared bandwidth and the
     class priors cancel); the conditional entropy is the average posterior
-    entropy over training points.
+    entropy over training points. The n x n kernel is summed in row chunks
+    of at most :data:`greyimpute.distance.BLOCK_BYTES`, so memory grows
+    only linearly with n.
     """
     x = np.asarray(feature, dtype=float)
     y = np.asarray(labels, dtype=int)
@@ -88,11 +91,18 @@ def parzen_conditional_entropy(
         raise EmptyInputError("parzen estimate needs at least 2 observations")
     sd = float(np.std(x, ddof=1))
     h = max(BANDWIDTH_FACTOR * sd * n ** (-0.2), BANDWIDTH_FLOOR)
-    d = x[:, None] - x[None, :]
-    kernel = np.exp(-(d * d) / (2.0 * h * h))
+    scale = 2.0 * h * h
     onehot = np.zeros((n, n_classes))
     onehot[np.arange(n), y] = 1.0
-    numer = kernel @ onehot
+    numer = np.empty((n, n_classes))
+    step = block_rows(n, 1)
+    for start in range(0, n, step):
+        chunk = np.subtract(x[start:start + step, None], x[None, :])
+        np.multiply(chunk, chunk, out=chunk)
+        # d*d / -scale is -(d*d) / scale bit for bit: rounding is symmetric
+        np.divide(chunk, -scale, out=chunk)
+        np.exp(chunk, out=chunk)
+        np.matmul(chunk, onehot, out=numer[start:start + step])
     # the total kernel mass is the sum over class-restricted masses, so the
     # posterior rows sum to exactly one
     denom = numer.sum(axis=1)

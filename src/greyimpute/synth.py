@@ -141,9 +141,7 @@ def inject_mcar(dataset: Dataset, columns, rate: float, seed: int) -> Dataset:
     given probability."""
     if not (0.0 <= rate < 1.0):
         raise DataError(f"MCAR rate must lie in [0, 1), got {rate}")
-    cols = [
-        dataset.schema.index_of(c) if isinstance(c, str) else int(c) for c in columns
-    ]
+    cols = [dataset.schema.index_of(c) for c in columns]
     rng = make_rng(seed, "inject")
     mask = dataset.mask.copy()
     values = dataset.values.copy()
@@ -189,7 +187,9 @@ def inject_mar(dataset: Dataset, spec: MarSpec, seed: int) -> Dataset:
     target column's intercept is calibrated by bisection against the
     realized draws for that column.
     """
-    for j in spec.predictors:
+    predictors = [dataset.schema.index_of(j) for j in spec.predictors]
+    targets = [dataset.schema.index_of(j) for j in spec.targets]
+    for j in predictors:
         if not dataset.mask[:, j].all():
             raise PredictorMissingError(
                 f"predictor column {dataset.schema.features[j].name!r} has missing cells"
@@ -197,8 +197,8 @@ def inject_mar(dataset: Dataset, spec: MarSpec, seed: int) -> Dataset:
     rng = make_rng(seed, "inject")
     mask = dataset.mask.copy()
     values = dataset.values.copy()
-    pred = dataset.values[:, list(spec.predictors)]
-    for t, j in enumerate(spec.targets):
+    pred = dataset.values[:, predictors]
+    for t, j in enumerate(targets):
         z = pred @ np.asarray(spec.coefficients[t])
         u = rng.random(dataset.n)
         if spec.intercepts is not None:

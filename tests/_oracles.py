@@ -3,7 +3,8 @@
 Everything here is written straight from the defining formulas with plain
 loops and explicit sorts: per-feature overlap/range distances combined by
 a root of summed squares, grey coefficients anchored at the query's
-candidate bounds, inverse-square / rank-weighted cell estimators, and one
+candidate bounds, cross-validated k selection by full sorts and literal
+majority votes, inverse-square / rank-weighted cell estimators, and one
 full imputation sweep per method. No code is shared with the package
 beyond the Dataset container.
 """
@@ -106,6 +107,40 @@ def oracle_grg(query, cand, categorical, dmin, dmax, rho, weights=None):
         weights[j] * oracle_grc(query[j], cand[j], categorical[j], dmin, dmax, rho)
         for j in range(p)
     )
+
+
+def oracle_select_k(values, labels, fold_ids, grid, categorical, metric, rho=0.5, weights=None):
+    """Cross-validated kNN error per usable grid k, and the chosen k.
+
+    Every test row of every fold ranks the whole training fold by a full
+    sort on (distance, index); its vote for k is the label with the most
+    of the k nearest, ties to the tied label met first in rank order. A k
+    is usable when no training fold is smaller. The chosen k has the
+    fewest errors, ties to the smallest k."""
+    n = len(labels)
+    folds = sorted(set(fold_ids))
+    smallest_train = min(sum(1 for g in fold_ids if g != f) for f in folds)
+    errors = {k: 0 for k in sorted(set(grid)) if k <= smallest_train}
+    for f in folds:
+        train = [i for i in range(n) if fold_ids[i] != f]
+        for q in [i for i in range(n) if fold_ids[i] == f]:
+            if metric == "heom":
+                dists = [oracle_heom(values[q], values[c], categorical, weights) for c in train]
+            else:
+                dmin, dmax = oracle_bounds(values[q], [values[c] for c in train], categorical)
+                dists = [
+                    1.0 - oracle_grg(values[q], values[c], categorical, dmin, dmax, rho, weights)
+                    for c in train
+                ]
+            ranked = [labels[c] for _, c in sorted(zip(dists, train))]
+            for k in errors:
+                votes = list(ranked[:k])
+                best = max(votes.count(y) for y in votes)
+                winner = next(y for y in votes if votes.count(y) == best)
+                if winner != labels[q]:
+                    errors[k] += 1
+    chosen = min(errors, key=lambda k: (errors[k], k)) if errors else None
+    return errors, chosen
 
 
 def oracle_numeric_estimate(distances, values, weighted, eq11_literal=False):

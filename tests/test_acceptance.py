@@ -243,11 +243,11 @@ def test_criterion_7_invariant_suites(cube_rows, mvn_rows, iris_rows):
     grey = GreyMetric(np.array([False, False]))
     for _ in range(50):
         a, b = rng.random(2), rng.random(2)
-        g = 1.0 - grey.distances(a, b[None, :])[0]
+        g = 1.0 - grey.distances(a[None, :], b[None, :])[0, 0]
         if not (-1e-12 <= g <= 1 + 1e-12):
             failures.append("grade out of [0,1]")
     candidates = np.array([[d, 0.5] for d in (0.1, 0.4, 0.8)])
-    grades = 1.0 - grey.distances(np.array([0.0, 0.5]), candidates)
+    grades = 1.0 - grey.distances(np.array([[0.0, 0.5]]), candidates)[0]
     if not (grades[0] > grades[1] > grades[2]):
         failures.append("approachability violated")
 

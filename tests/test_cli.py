@@ -201,6 +201,25 @@ class TestSynthAndInject:
         assert 70 <= na_count <= 90  # 2 columns x 400 cells at ~10% each
 
 
+    @pytest.mark.parametrize("flags, column", [
+        (["mcar", "--columns", "x1", "nope"], "nope"),
+        (["mar", "--targets", "nope", "--predictors", "x1"], "nope"),
+        (["mar", "--targets", "x4", "--predictors", "x1", "nah"], "nah"),
+    ])
+    def test_unknown_column_is_data_error(self, tmp_path, capsys, flags, column):
+        data = tmp_path / "mvn.csv"
+        main(["synth", "mvn", "--seed", "3", "--out", _p(data)])
+        before = sorted(p.name for p in tmp_path.iterdir())
+        code = main([
+            "inject", flags[0], _p(data), "--infer-schema", *flags[1:],
+            "--rate", "0.1", "--out", _p(tmp_path / "out.csv"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and repr(column) in err[0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 class TestEvalCommand:
     def test_scores_injected_cells(self, tmp_path, capsys):
         truth = gen_cubes(2)
@@ -288,6 +307,34 @@ class TestBenchmarkCommand:
         assert len(err) == 1 and err[0].startswith("error:")
         assert key.rstrip("s") in err[0]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+
+    @pytest.mark.parametrize("columns, named", [
+        ({"mcar_columns": ["x1", "nope"]}, "'nope'"),
+        ({"mcar_columns": [99]}, "99"),
+        ({"dataset": "mvn", "mechanism": "mar", "mar_targets": [99], "mar_predictors": [0]}, "99"),
+        ({"dataset": "mvn", "mechanism": "mar", "mar_targets": [4], "mar_predictors": [-9]}, "-9"),
+    ])
+    def test_unknown_spec_column_is_data_error(self, tmp_path, capsys, columns, named):
+        spec = {**BASE_SPEC, "methods": ["cgknn"], **columns}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        code = main(["benchmark", _p(tmp_path / "spec.json"), "--out", _p(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+    def test_unknown_mcar_column_is_refused_before_any_cell(self, monkeypatch):
+        from greyimpute import evaluate
+        from greyimpute.errors import DataError
+
+        ran = []
+        monkeypatch.setattr(evaluate, "_run_cell", lambda *args: ran.append(args))
+        with pytest.raises(DataError, match="nope"):
+            evaluate.benchmark(evaluate.BenchmarkSpec(
+                "cubes", ("cgknn",), (0.1,), (1,), mcar_columns=("x1", "nope")
+            ))
+        assert ran == []
 
 
 def test_run_parameter_defaults_agree(tmp_path):

@@ -35,6 +35,13 @@ class TestSchema:
         with pytest.raises(DataError):
             Feature("c", ("x", "x"))
 
+    def test_index_of_takes_a_name_or_an_index(self):
+        schema = Schema((Feature("a"), Feature("b"), Feature("c")))
+        assert [schema.index_of(c) for c in ("b", 2, -1, np.int64(0))] == [1, 2, 2, 0]
+        for bad in ("nope", 3, -4, 1.0, None):
+            with pytest.raises(DataError, match="unknown column"):
+                schema.index_of(bad)
+
 
 class TestValidate:
     def test_consistent_complete_dataset(self):

@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greyimpute.distance import (
-    DeltaBounds,
-    GreyMetric,
-    HeomMetric,
-    delta_bounds,
-)
+from greyimpute.distance import GreyMetric, HeomMetric, _bounds, _gaps
 
 from _oracles import oracle_bounds, oracle_grg, oracle_heom
 
@@ -21,14 +16,22 @@ NAN = float("nan")
 
 
 def heom_pair(a, b, cat, weights=None):
-    return HeomMetric(cat, weights).distances(np.asarray(a, float), np.array([b], float))[0]
+    metric = HeomMetric(cat, weights)
+    return metric.distances(np.array([a], float), np.array([b], float))[0, 0]
 
 
 def grades(query, candidates, cat, weights=None):
     """Grey relational grades of each candidate against the query, under
     bounds shared by the whole candidate matrix."""
     metric = GreyMetric(cat, 0.5, weights)
-    return 1.0 - metric.distances(np.asarray(query, float), np.asarray(candidates, float))
+    return 1.0 - metric.distances(np.array([query], float), np.asarray(candidates, float))[0]
+
+
+def bounds(query, candidates, cat):
+    """The grey delta bounds of one query against a candidate matrix."""
+    gaps = _gaps(np.array([query], float), np.asarray(candidates, float))
+    dmin, dmax = _bounds(gaps, np.asarray(cat, dtype=bool))
+    return float(dmin[0]), float(dmax[0])
 
 
 class TestFeatureDistance:
@@ -80,28 +83,36 @@ class TestDeltaBounds:
     def test_single_candidate(self):
         q = np.array([0.0, 0.5])
         c = np.array([[0.2, 0.9]])
-        b = delta_bounds(q, c, np.array([False, False]))
-        assert (b.delta_min, b.delta_max) == (0.2, pytest.approx(0.4))
+        assert bounds(q, c, [False, False]) == (0.2, pytest.approx(0.4))
 
     def test_identical_candidate(self):
         q = np.array([0.3, 0.7])
-        b = delta_bounds(q, q[None, :], np.array([False, False]))
-        assert (b.delta_min, b.delta_max) == (0.0, 0.0)
+        assert bounds(q, q[None, :], [False, False]) == (0.0, 0.0)
 
     def test_sentinel_when_no_observed_pair(self):
         q = np.array([0.3])
         c = np.array([[NAN], [NAN]])
-        assert delta_bounds(q, c, np.array([False])) == DeltaBounds(0.0, 1.0)
+        assert bounds(q, c, [False]) == (0.0, 1.0)
 
     def test_categorical_features_excluded(self):
         q = np.array([0.0, 0.1])
         c = np.array([[1.0, 0.3]])
-        b = delta_bounds(q, c, np.array([True, False]))
-        assert (b.delta_min, b.delta_max) == (pytest.approx(0.2), pytest.approx(0.2))
+        assert bounds(q, c, [True, False]) == (pytest.approx(0.2), pytest.approx(0.2))
 
-    def test_bounds_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            DeltaBounds(0.5, 0.2)
+    def test_bounds_ordering_enforced(self, rng):
+        # each query of a block gets its own ordered bounds, the ones it
+        # has alone against the same candidates
+        cat = np.array([False, True, False, False])
+        for _ in range(10):
+            queries = rng.random((6, 4))
+            queries[:, 1] = rng.integers(0, 3, size=6)
+            queries[rng.random((6, 4)) < 0.3] = NAN
+            c = rng.random((9, 4))
+            c[:, 1] = rng.integers(0, 3, size=9)
+            dmin, dmax = _bounds(_gaps(queries, c), cat)
+            assert ((0.0 <= dmin) & (dmin <= dmax)).all()
+            for i, q in enumerate(queries):
+                assert (dmin[i], dmax[i]) == oracle_bounds(q, c, cat)
 
 
 class TestGrc:
@@ -125,7 +136,7 @@ class TestGrg:
         a = np.array([0.2, 0.8, 1.0])
         cat = np.array([False, False, True])
         assert grades(a, [a], cat)[0] == pytest.approx(1.0)
-        assert GreyMetric(cat).distances(a, a[None, :])[0] == pytest.approx(0.0)
+        assert GreyMetric(cat).distances(a[None, :], a[None, :])[0, 0] == pytest.approx(0.0)
 
     def test_mean_of_coefficients(self):
         # one matching categorical (GRC 1), one mismatching (GRC 0)
@@ -175,41 +186,66 @@ class TestGreyAxioms:
         assert all(x > y for x, y in zip(g, g[1:]))
 
 
+def query_block(rng, m, p, levels):
+    """m query rows with categorical columns {j: n_levels} and about a
+    third of the cells missing."""
+    q = rng.random((m, p))
+    for j, k in levels.items():
+        q[:, j] = rng.integers(0, k, size=m)
+    q[rng.random((m, p)) < 0.3] = NAN
+    return q
+
+
 class TestBatchKernels:
     def test_heom_batch_matches_scalar_bitwise(self, rng):
         cat = np.array([False, True, False, True, False])
-        for _ in range(10):
-            q = rng.random(5)
-            q[1] = float(rng.integers(0, 3))
-            if rng.random() < 0.5:
-                q[0] = NAN
-            c = rng.random((8, 5))
-            c[:, 1] = rng.integers(0, 3, size=8)
-            c[:, 3] = rng.integers(0, 2, size=8)
-            batch = HeomMetric(cat).distances(q, c)
-            scalar = [oracle_heom(q, c[i], cat) for i in range(8)]
-            assert batch.tolist() == scalar
+        for weights in (None, np.array([0.1, 0.3, 0.2, 0.25, 0.15])):
+            for _ in range(10):
+                q = query_block(rng, 4, 5, {1: 3, 3: 2})
+                c = rng.random((8, 5))
+                c[:, 1] = rng.integers(0, 3, size=8)
+                c[:, 3] = rng.integers(0, 2, size=8)
+                batch = HeomMetric(cat, weights).distances(q, c)
+                scalar = [[oracle_heom(qi, c[i], cat, weights) for i in range(8)] for qi in q]
+                assert batch.tolist() == scalar
 
     def test_grey_batch_matches_scalar_bitwise(self, rng):
         cat = np.array([False, False, True])
         w = np.array([0.5, 0.3, 0.2])
         for _ in range(10):
-            q = rng.random(3)
-            q[2] = float(rng.integers(0, 2))
-            if rng.random() < 0.5:
-                q[1] = NAN
+            q = query_block(rng, 4, 3, {2: 2})
             c = rng.random((6, 3))
             c[:, 2] = rng.integers(0, 2, size=6)
             metric = GreyMetric(cat, 0.5, w)
             batch = metric.distances(q, c)
-            dmin, dmax = oracle_bounds(q, c, cat)
-            scalar = [1.0 - oracle_grg(q, c[i], cat, dmin, dmax, 0.5, w) for i in range(6)]
+            scalar = []
+            for qi in q:
+                dmin, dmax = oracle_bounds(qi, c, cat)
+                scalar.append(
+                    [1.0 - oracle_grg(qi, c[i], cat, dmin, dmax, 0.5, w) for i in range(6)]
+                )
             assert batch.tolist() == scalar
 
     def test_grey_unweighted_equals_uniform_weights_bitwise(self, rng):
         cat = np.array([False, True, False])
-        q = rng.random(3)
+        q = rng.random((2, 3))
         c = rng.random((5, 3))
         plain = GreyMetric(cat).distances(q, c)
         uniform = GreyMetric(cat, weights=np.full(3, 1.0 / 3.0)).distances(q, c)
         assert plain.tolist() == uniform.tolist()
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
+    def test_block_rows_equal_one_row_blocks_bitwise(self, rng, rho):
+        # rounded values tie, and a query equal to a candidate hits the
+        # zero-denominator case when rho * dmax is 0
+        cat = np.array([False, True, False, False])
+        c = np.round(rng.random((12, 4)), 1)
+        c[:, 1] = rng.integers(0, 3, size=12)
+        q = np.round(query_block(rng, 7, 4, {1: 3}), 1)
+        q[0] = c[3]
+        w = np.array([0.4, 0.1, 0.3, 0.2])
+        for metric in (GreyMetric(cat, rho, w), GreyMetric(cat, rho), HeomMetric(cat, w)):
+            block = metric.distances(q, c)
+            rows = np.vstack([metric.distances(q[i:i + 1], c) for i in range(len(q))])
+            assert np.array_equal(block, rows)
+            assert block.shape == (7, 12)

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from greyimpute import distance
 from greyimpute.distance import GreyMetric, HeomMetric
 from greyimpute.engine import (
+    DEFAULT_K_GRID,
     PLANS,
     ImputeConfig,
     Method,
@@ -17,6 +21,8 @@ from greyimpute.engine import (
     run_plan,
     select_k,
     sweep,
+    _cv_errors,
+    _nearest,
 )
 from greyimpute.errors import (
     DataError,
@@ -24,9 +30,10 @@ from greyimpute.errors import (
     TooFewRowsError,
 )
 from greyimpute.evaluate import rmse
+from greyimpute.folds import effective_fold_count, stratified_fold_ids
 from greyimpute.synth import gen_cubes, inject_mcar
 
-from _oracles import oracle_one_iteration
+from _oracles import oracle_one_iteration, oracle_select_k
 from conftest import build_dataset, random_mixed_dataset
 
 NAN = float("nan")
@@ -99,6 +106,83 @@ class TestSelectK:
         with pytest.raises(TooFewRowsError):
             select_k(np.zeros((3, 1)), np.array([0, 1, 0]),
                      HeomMetric(np.array([False])))
+
+
+def tied_table(rng, n):
+    """Values rounded to one decimal plus a 3-level categorical column, so
+    many distances tie, and three classes, so many votes tie."""
+    values = np.round(rng.random((n, 4)), 1)
+    values[:, 1] = rng.integers(0, 3, size=n)
+    labels = rng.integers(0, 3, size=n)
+    return values, labels, np.array([False, True, False, False])
+
+
+class TestSelectKOracle:
+    @pytest.mark.parametrize("metric_name", ["heom", "grey"])
+    def test_errors_per_k_and_choice_match_oracle(self, rng, metric_name):
+        grid = (1, 2, 3, 4, 6, 9)
+        for trial in range(4):
+            values, labels, cat = tied_table(rng, int(rng.integers(30, 60)))
+            weights = None if trial % 2 else rng.dirichlet(np.ones(4))
+            if metric_name == "heom":
+                metric = HeomMetric(cat, weights)
+            else:
+                metric = GreyMetric(cat, 0.5, weights)
+            fold_ids = stratified_fold_ids(labels, effective_fold_count(labels, 5), trial)
+            expected, chosen = oracle_select_k(
+                values, labels, fold_ids, grid, cat, metric_name, 0.5, weights
+            )
+            assert _cv_errors(values, labels, metric, grid, 5, trial) == expected
+            assert select_k(values, labels, metric, grid, 5, trial) == chosen
+
+
+class TestNearest:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_partial_selection_equals_stable_argsort(self, data):
+        m = data.draw(st.integers(1, 5))
+        n = data.draw(st.integers(2, 40))
+        k = data.draw(st.integers(1, n - 1))
+        levels = data.draw(st.integers(1, 4))
+        cells = data.draw(st.lists(st.integers(0, levels - 1), min_size=m * n, max_size=m * n))
+        d = np.array(cells, dtype=float).reshape(m, n) / levels
+        expected = np.argsort(d, axis=1, kind="stable")[:, :k]
+        assert np.array_equal(_nearest(d, k), expected)
+
+    def test_wide_tied_rows(self, rng):
+        d = np.round(rng.random((3, 3000)), 2)
+        assert np.array_equal(_nearest(d, 15), np.argsort(d, axis=1, kind="stable")[:, :15])
+
+
+class TestBlockBudget:
+    """A tiny byte budget splits every fold and test set into many blocks
+    without changing a bit of the result."""
+
+    @pytest.mark.parametrize("budget", [1, 50_000])
+    @pytest.mark.parametrize("metric_name", ["heom", "grey"])
+    def test_select_k(self, rng, monkeypatch, budget, metric_name):
+        values, labels, cat = tied_table(rng, 150)
+        weights = rng.dirichlet(np.ones(4))
+        metric = HeomMetric(cat, weights) if metric_name == "heom" else GreyMetric(cat, 0.5, weights)
+        whole = _cv_errors(values, labels, metric, DEFAULT_K_GRID, 10, 3)
+        monkeypatch.setattr(distance, "BLOCK_BYTES", budget)
+        assert _cv_errors(values, labels, metric, DEFAULT_K_GRID, 10, 3) == whole
+
+    @pytest.mark.parametrize("budget", [1, 50_000])
+    @pytest.mark.parametrize("method", ["iknn", "gknn", "cgknn"])
+    def test_impute_test(self, rng, monkeypatch, budget, method):
+        levels = {1: ("a", "b", "c")}
+        values, labels, _ = tied_table(rng, 120)
+        values[rng.random(values.shape) < 0.1] = NAN
+        train = build_dataset(values, levels, labels=labels)
+        config = ImputeConfig(method=method, k=3, seed=1)
+        result = run_impute(train, config)
+        queries, _, _ = tied_table(rng, 60)
+        queries[rng.random(queries.shape) < 0.3] = NAN
+        test = build_dataset(queries, levels)
+        whole = impute_test(result, test, config).values
+        monkeypatch.setattr(distance, "BLOCK_BYTES", budget)
+        assert np.array_equal(impute_test(result, test, config).values, whole)
 
 
 class TestNearestNeighbors:

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from greyimpute import distance
+from greyimpute.dataset import Dataset, Schema
 from greyimpute.errors import EmptyInputError
 from greyimpute.relevance import (
     MIEstimate,
@@ -80,6 +83,38 @@ class TestParzenConditionalEntropy:
         y = np.array([0, 1] * 5)
         h = parzen_conditional_entropy(x, y, 2)
         assert h == pytest.approx(1.0)  # posterior falls back to the priors
+
+
+class TestParzenChunks:
+    @pytest.mark.parametrize("budget", [1, 2_000, 50_000])
+    def test_chunks_agree_with_one_chunk(self, rng, monkeypatch, budget):
+        x = np.round(rng.normal(size=300), 1)
+        y = rng.integers(0, 3, size=300)
+        whole = parzen_conditional_entropy(x, y, 3)
+        monkeypatch.setattr(distance, "BLOCK_BYTES", budget)
+        # every kernel element is computed bit for bit as in one chunk, but
+        # BLAS may sum a short chunk's class masses in another order
+        assert parzen_conditional_entropy(x, y, 3) == pytest.approx(whole, rel=0, abs=1e-12)
+
+    def test_class_weights_memory_does_not_grow_with_n_squared(self):
+        # the dense n x n kernels peaked near 1.5 GB at 8000 rows
+        parts = [gen_cubes(seed) for seed in range(1, 21)]
+        cols = [0, 1, 3]
+        schema = parts[0].schema
+        narrow = Schema(
+            tuple(schema.features[j] for j in cols), schema.class_column, schema.class_levels
+        )
+        values = np.vstack([part.values[:, cols] for part in parts])
+        labels = np.concatenate([part.labels for part in parts])
+        ds = Dataset(narrow, values, np.ones_like(values, dtype=bool), labels)
+        tracemalloc.start()
+        try:
+            dataset_class_weights(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.n == 8000
+        assert peak < 300 * 2**20
 
 
 class TestMutualInformation:
