@@ -18,6 +18,17 @@ normalizes continuous columns onto:
 whatever the block size, matching the independent per-cell forms in
 ``tests/_oracles.py`` bit for bit.
 
+When only each query's k nearest candidates are wanted and the grey
+weights sit on a few features, :meth:`GreyMetric.screen` finds them
+without scoring every pair in full (partial-distance elimination, Bei &
+Gray 1985). Each query's bounds come from candidate columns sorted once;
+a partial grade over the heavy features (weight at least 1/p) ranks all
+candidates; a candidate is scored in full only if its partial grade plus
+the total light weight could still reach the k-th best partial grade.
+Coefficients lie in [0, 1], so no pruned candidate can enter the k
+nearest, and survivors are scored by the same per-feature code as
+``distances``, bit for bit.
+
 Missing cells are NaN throughout; candidate rows must be complete.
 """
 
@@ -28,6 +39,7 @@ import numpy as np
 __all__ = [
     "HeomMetric",
     "GreyMetric",
+    "GreyScreen",
 ]
 
 
@@ -81,9 +93,29 @@ def _bounds(gaps: np.ndarray, categorical: np.ndarray):
     cont = ~categorical[:, None]
     dmin = np.fmin.reduce(gaps.min(axis=2), axis=0, initial=np.nan, where=cont)
     dmax = np.fmax.reduce(gaps.max(axis=2), axis=0, initial=np.nan, where=cont)
+    return _sentinel(dmin, dmax)
+
+
+def _sentinel(dmin, dmax):
     none = np.isnan(dmin)
     dmin[none], dmax[none] = 0.0, 1.0
     return dmin, dmax
+
+
+def _sorted_bounds(queries: np.ndarray, columns: np.ndarray, continuous: np.ndarray):
+    """:func:`_bounds` of a query block from the continuous candidate
+    columns sorted ascending, (continuous features x candidates), without
+    the gaps. Rounded subtraction is monotone, so a query cell's smallest
+    gap is to a sorted neighbour of it and its largest to a column end."""
+    q = queries[:, continuous].T
+    near = np.empty_like(q)
+    for j, (col, qj) in enumerate(zip(columns, q)):
+        at = np.searchsorted(col, qj).clip(1, len(col) - 1)
+        near[j] = np.minimum(np.abs(col[at - 1] - qj), np.abs(col[at] - qj))
+    far = np.maximum(np.abs(columns[:, :1] - q), np.abs(columns[:, -1:] - q))
+    dmin = np.fmin.reduce(near, axis=0, initial=np.nan)
+    dmax = np.fmax.reduce(far, axis=0, initial=np.nan)
+    return _sentinel(dmin, dmax)
 
 
 class GreyMetric:
@@ -110,27 +142,109 @@ class GreyMetric:
         self.rho = rho
         self.weights = None if weights is None else np.asarray(weights, float)
 
-    def distances(self, queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-        g = _gaps(queries, candidates)
-        cat = self.categorical
-        p = len(cat)
-        dmin, dmax = _bounds(g, cat)
+    def _grade(self, g, qnan, dmin, rdmax, features=slice(None)):
+        """Weighted grey grade of the ``features`` whose gaps ``g`` (features
+        first) holds, summed left to right; overwrites ``g``. ``qnan`` marks
+        the missing query cells (``g.shape[:2]``); ``dmin``/``rdmax`` (the
+        query's dmin and rho*dmax) broadcast against ``g[0]``."""
+        cat = self.categorical[features]
         match = g[cat] == 0.0
-        rdmax = (self.rho * dmax)[:, None]
         g += rdmax
         # categorical slabs take this formula too (and may divide by zero)
         # until their matches overwrite them
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(dmin[:, None] + rdmax, g, out=g)
+            np.divide(dmin + rdmax, g, out=g)
         # dmin is the smallest continuous gap, so every continuous ratio is
         # at most 1 and its only NaN is 0/0: perfect similarity, 1
-        flat = rdmax[:, 0] == 0.0
+        flat = rdmax == 0.0
         if flat.any():
-            g[:, flat] = np.fmin(g[:, flat], 1.0)
+            np.fmin(g, 1.0, out=g, where=flat)
         g[cat] = match
-        g[np.isnan(queries).T] = 0.0
-        g *= (np.full(p, 1.0 / p) if self.weights is None else self.weights)[:, None, None]
+        g[qnan] = 0.0
+        p = len(self.categorical)
+        w = np.full(p, 1.0 / p) if self.weights is None else self.weights
+        g *= w[features].reshape((-1,) + (1,) * (g.ndim - 1))
         grade = np.zeros(g.shape[1:])
         for gj in g:  # features left to right
             grade += gj
+        return grade
+
+    def distances(self, queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+        g = _gaps(queries, candidates)
+        dmin, dmax = _bounds(g, self.categorical)
+        rdmax = (self.rho * dmax)[:, None]
+        grade = self._grade(g, np.isnan(queries).T, dmin[:, None], rdmax)
         return np.subtract(1.0, grade, out=grade)
+
+    def screen(self, candidates: np.ndarray) -> "GreyScreen | None":
+        """A :class:`GreyScreen` over ``candidates``, or None when the
+        weights give it nothing safe or cheap to prune on. It needs finite,
+        non-negative weights; heavy features (weight at least 1/p), no more
+        than a quarter of them, since the partial grade costs their share
+        of a full kernel call; and light ones that weigh less than 1/p
+        together."""
+        w = self.weights
+        if w is None or not (np.isfinite(w).all() and (w >= 0.0).all()):
+            return None
+        p = len(w)
+        heavy = w >= 1.0 / p
+        light = float(w[~heavy].sum())
+        if not heavy.any() or 4 * heavy.sum() > p or light >= 1.0 / p:
+            return None
+        return GreyScreen(self, candidates, np.flatnonzero(heavy), light)
+
+
+class GreyScreen:
+    """The k nearest candidates of query blocks under a weighted
+    :class:`GreyMetric`, exactly as ``_nearest(metric.distances(...))``
+    ranks them, scoring in full only the candidates a partial grade over
+    the heavy features cannot rule out.
+
+    A full grade is at most the partial grade plus the light weight
+    (coefficients lie in [0, 1]), and the k candidates with the best
+    partial grades have full grades at least the k-th best partial grade
+    T. So a candidate whose partial grade plus the light weight falls
+    below T cannot be among the k nearest. The cut sits :data:`MARGIN`
+    of the total weight below that. Rounding moves a p-term sum by about
+    p * eps of the total weight, far less than the margin for any p below
+    a million, so a pruned candidate stays strictly farther than k
+    survivors after rounding too and no (distance, index) tie is lost.
+    The margin is part of that argument, not a tuning knob.
+    """
+
+    MARGIN = 1e-9
+
+    def __init__(self, metric: GreyMetric, candidates: np.ndarray, heavy, light: float):
+        self.metric = metric
+        self.candidates = np.asarray(candidates, dtype=float)
+        self.heavy = heavy
+        self.continuous = ~metric.categorical
+        self.columns = np.sort(self.candidates[:, self.continuous], axis=0).T
+        self.slack = light + self.MARGIN * float(metric.weights.sum())
+
+    def nearest(self, queries: np.ndarray, k: int):
+        """(distances, indices) of each query's k nearest candidates,
+        ascending by (distance, index); both (queries x k)."""
+        metric, heavy = self.metric, self.heavy
+        dmin, dmax = _sorted_bounds(queries, self.columns, self.continuous)
+        rdmax = metric.rho * dmax
+        qnan = np.isnan(queries).T
+        partial = metric._grade(
+            _gaps(queries[:, heavy], self.candidates[:, heavy]),
+            qnan[heavy], dmin[:, None], rdmax[:, None], heavy,
+        )
+        n = partial.shape[1]
+        cut = np.partition(partial, n - k, axis=1)[:, n - k] - self.slack
+        qi, ci = np.nonzero(partial >= cut[:, None])
+        d = np.empty(len(qi))
+        # the gaps and the two gathered row blocks, p floats each per pair
+        step = block_rows(1, 3 * len(metric.categorical) + 2)
+        for s in range(0, len(qi), step):
+            a, b = qi[s:s + step], ci[s:s + step]
+            g = np.subtract(self.candidates[b].T, queries[a].T)
+            grade = metric._grade(np.abs(g, out=g), qnan[:, a], dmin[a], rdmax[a])
+            d[s:s + step] = np.subtract(1.0, grade, out=grade)
+        order = np.lexsort((ci, d, qi))
+        counts = np.bincount(qi, minlength=len(queries))
+        take = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+        return d[take], ci[take]

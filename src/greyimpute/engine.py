@@ -232,13 +232,27 @@ def _nearest(d: np.ndarray, k: int) -> np.ndarray:
 
 
 def _ranked_blocks(metric, queries, candidates, k):
-    """(offset, distances, k nearest) per block of query rows; a kernel call
-    holds one (features x rows x candidates) array and a few (rows x
-    candidates) ones, all within :data:`greyimpute.distance.BLOCK_BYTES`."""
-    step = block_rows(len(candidates), candidates.shape[1] + 4)
+    """(offset, distances, indices) of each query's k nearest candidates,
+    ascending by (distance, index), per block of query rows. A block's
+    work arrays stay within :data:`greyimpute.distance.BLOCK_BYTES`.
+
+    A weighted grey metric whose weights sit on a few features ranks each
+    block through its :class:`~greyimpute.distance.GreyScreen`, which
+    scores in full only the candidates a partial grade over the heavy
+    features cannot rule out; the result is the same bits. Otherwise a
+    block is scored in full and ranked by :func:`_nearest`."""
+    screen = metric.screen(candidates) if isinstance(metric, GreyMetric) else None
+    # the largest work array holds a gap per pair for every (heavy) feature
+    width = candidates.shape[1] if screen is None else len(screen.heavy)
+    step = block_rows(len(candidates), width + 4)
     for start in range(0, len(queries), step):
-        d = metric.distances(queries[start:start + step], candidates)
-        yield start, d, _nearest(d, k)
+        block = queries[start:start + step]
+        if screen is None:
+            d = metric.distances(block, candidates)
+            nearest = _nearest(d, k)
+            yield start, np.take_along_axis(d, nearest, axis=1), nearest
+        else:
+            yield (start, *screen.nearest(block, k))
 
 
 def _cv_errors(values, labels, metric, grid, folds, seed) -> dict[int, int]:
@@ -280,7 +294,10 @@ def select_k(
 
     Ties go to the smallest k. Grid values larger than a training fold are
     skipped. The matrix must be complete (pre-filled). Test folds are
-    scored in query blocks of fixed byte size, so memory grows linearly.
+    ranked in query blocks of fixed byte size, so memory grows linearly;
+    under grey weights that sit on a few features each block goes through
+    the exact screen of :func:`_ranked_blocks`, which scores in full only
+    the pairs that can still be among the nearest.
     """
     labels = np.asarray(labels, dtype=int)
     n = len(labels)
@@ -589,7 +606,8 @@ def impute_test(
 
     Neighbors are ranked over all training rows (the class is unknown at
     test time) with the training feature weights; there is no iteration.
-    Incomplete test rows are ranked in blocks of fixed byte size.
+    Incomplete test rows are ranked in blocks of fixed byte size, through
+    the exact screen of :func:`_ranked_blocks` where the weights allow it.
     A non-iterative method (mean/mode) fills every gap with the column
     mean/mode of the completed training matrix, which is the value its
     fit wrote into that column's missing training cells.
@@ -621,10 +639,10 @@ def impute_test(
         rows = np.nonzero(~test.mask.all(axis=1))[0]
         # each row's estimate writes only that row, so a block's queries
         # may all be read before any of them is filled
-        for start, d, nearest in _ranked_blocks(metric, test_vals[rows], train_vals, k):
-            for r, dr, order in zip(rows[start:], d, nearest):
+        for start, dist, nearest in _ranked_blocks(metric, test_vals[rows], train_vals, k):
+            for r, dr, order in zip(rows[start:], dist.tolist(), nearest.tolist()):
                 gaps = np.nonzero(~test.mask[r])[0]
-                nbrs = [(int(i), float(dr[i])) for i in order]
+                nbrs = list(zip(order, dr))
                 test_vals[r, gaps] = _estimate_row(
                     train_vals, nbrs, gaps, test.schema, plan.weighted_cells
                 )

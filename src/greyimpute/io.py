@@ -157,7 +157,7 @@ def read_csv(text: str, config: SchemaConfig) -> Dataset:
     if config.class_column is not None and config.class_column not in positions:
         raise ParseError(f"class column {config.class_column!r} not in CSV header")
     declared = set(config.column_names()) | (
-        {config.class_column} if config.class_column else set()
+        {config.class_column} if config.class_column is not None else set()
     )
     for name in header:
         if name not in declared:
@@ -258,17 +258,17 @@ def write_csv(dataset: Dataset, missing_token: str | None = None) -> str:
     buf = _stdio.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for i in range(dataset.n):
-        row = []
-        for j, feat in enumerate(dataset.schema.features):
-            if not dataset.mask[i, j] or np.isnan(dataset.values[i, j]):
-                row.append(token)
-            elif feat.is_categorical:
-                row.append(feat.levels[int(dataset.values[i, j])])
-            else:
-                row.append(repr(float(dataset.values[i, j])))
+    levels = [f.levels for f in dataset.schema.features]
+    labels = None if dataset.labels is None else dataset.labels.tolist()
+    for i, (values, mask) in enumerate(zip(dataset.values.tolist(), dataset.mask.tolist())):
+        row = [
+            token if not m or v != v  # v != v: NaN
+            else repr(v) if lv is None
+            else lv[int(v)]
+            for v, m, lv in zip(values, mask, levels)
+        ]
         if dataset.schema.class_column is not None:
-            row.append(dataset.schema.class_levels[int(dataset.labels[i])])
+            row.append(dataset.schema.class_levels[labels[i]])
         writer.writerow(row)
     return buf.getvalue()
 

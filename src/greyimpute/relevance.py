@@ -96,8 +96,10 @@ def parzen_conditional_entropy(
     onehot[np.arange(n), y] = 1.0
     numer = np.empty((n, n_classes))
     step = block_rows(n, 1)
+    buf = np.empty((min(step, n), n))
     for start in range(0, n, step):
-        chunk = np.subtract(x[start:start + step, None], x[None, :])
+        chunk = buf[:min(step, n - start)]
+        np.subtract(x[start:start + step, None], x[None, :], out=chunk)
         np.multiply(chunk, chunk, out=chunk)
         # d*d / -scale is -(d*d) / scale bit for bit: rounding is symmetric
         np.divide(chunk, -scale, out=chunk)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greyimpute.distance import GreyMetric, HeomMetric, _bounds, _gaps
+from greyimpute.distance import GreyMetric, HeomMetric, _bounds, _gaps, _sorted_bounds
+from greyimpute.engine import _nearest, _ranked_blocks
 
 from _oracles import oracle_bounds, oracle_grg, oracle_heom
 
@@ -249,3 +250,109 @@ class TestBatchKernels:
             rows = np.vstack([metric.distances(q[i:i + 1], c) for i in range(len(q))])
             assert np.array_equal(block, rows)
             assert block.shape == (7, 12)
+
+
+@st.composite
+def screened_case(draw):
+    """Candidates and queries on a coarse grid (many tied gaps and grades),
+    categorical codes, maybe a constant column, NaN query cells anywhere,
+    and weights that put at least 1/p on each of at most p/4 heavy
+    features and less than 1/p on the light ones together, so the screen
+    engages. Heavy weights of exactly 1/p (the weights then sum to less
+    than one) let the light features reorder many candidates."""
+    p = draw(st.integers(4, 10))
+    n = draw(st.integers(1, 25))
+    m = draw(st.integers(1, 5))
+    levels = draw(st.integers(1, 6))
+    cat = np.array(draw(st.lists(st.booleans(), min_size=p, max_size=p)))
+    cells = draw(st.lists(st.integers(0, levels), min_size=(n + m) * p, max_size=(n + m) * p))
+    rows = np.array(cells, dtype=float).reshape(n + m, p)
+    rows[:, ~cat] /= levels
+    constant = draw(st.integers(0, p))  # p: no constant column
+    if constant < p:
+        rows[:, constant] = rows[0, constant]
+    candidates, queries = rows[:n], rows[n:]
+    holes = draw(st.lists(st.sampled_from([False, False, True]), min_size=m * p, max_size=m * p))
+    queries[np.array(holes).reshape(m, p)] = NAN
+    heavy = np.zeros(p, dtype=bool)
+    heavy[draw(st.permutations(range(p)))[:draw(st.integers(1, p // 4))]] = True
+    light = draw(st.sampled_from([0.0, 0.5, 0.99])) / p
+    a = np.array(draw(st.lists(st.integers(1, 5), min_size=p, max_size=p)), dtype=float)
+    b = np.array(draw(st.lists(st.integers(0, 3), min_size=p, max_size=p)), dtype=float)
+    b[heavy] = 0.0
+    weights = np.where(heavy, 1.0 / p, 0.0)
+    a[~heavy] = 0.0
+    if draw(st.booleans()):
+        weights += (1.0 - light - heavy.sum() / p) * a / a.sum()
+    if b.sum() > 0:
+        weights += light * b / b.sum()
+    rho = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    k = draw(st.integers(1, n))
+    return candidates, queries, cat, weights, rho, k
+
+
+class CountingGrey(GreyMetric):
+    calls = 0
+
+    def distances(self, queries, candidates):
+        self.calls += 1
+        return super().distances(queries, candidates)
+
+
+class TestScreen:
+    @given(screened_case())
+    @settings(max_examples=300, deadline=None)
+    def test_ranking_equals_full_kernel_bitwise(self, case):
+        candidates, queries, cat, weights, rho, k = case
+        metric = GreyMetric(cat, rho, weights)
+        screen = metric.screen(candidates)
+        assert screen is not None
+        dist, nearest = screen.nearest(queries, k)
+        d = metric.distances(queries, candidates)
+        expected = _nearest(d, k)
+        assert np.array_equal(nearest, expected)
+        assert dist.tobytes() == np.take_along_axis(d, expected, axis=1).tobytes()
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_sorted_column_bounds_equal_gap_bounds_bitwise(self, data):
+        # arbitrary doubles, including queries outside the candidates' span
+        p = data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(1, 20))
+        m = data.draw(st.integers(1, 5))
+        cat = np.array(data.draw(st.lists(st.booleans(), min_size=p, max_size=p)))
+        cell = st.floats(-2.0, 3.0, allow_nan=False)
+        c = np.array(data.draw(st.lists(cell, min_size=n * p, max_size=n * p))).reshape(n, p)
+        cells = st.one_of(cell, st.just(NAN))
+        q = np.array(data.draw(st.lists(cells, min_size=m * p, max_size=m * p))).reshape(m, p)
+        dmin, dmax = _sorted_bounds(q, np.sort(c[:, ~cat], axis=0).T, ~cat)
+        emin, emax = _bounds(_gaps(q, c), cat)
+        assert dmin.tobytes() == emin.tobytes()
+        assert dmax.tobytes() == emax.tobytes()
+
+    @pytest.mark.parametrize("weights", [
+        None,
+        np.full(8, 0.125),  # uniform: every feature heavy
+        np.array([0.6, 0.35, 0.05, -0.05, 0.05, 0.0, 0.0, 0.0]),  # negative
+        np.array([0.6, 0.35, NAN, 0.0, 0.0, 0.0, 0.0, 0.0]),
+        np.array([0.6, 0.35, np.inf, 0.0, 0.0, 0.0, 0.0, 0.0]),
+        np.array([0.5, 0.375, 0.0625, 0.0625, 0.0, 0.0, 0.0, 0.0]),  # light ones weigh 1/p
+        np.array([0.4, 0.3, 0.25, 0.01, 0.01, 0.01, 0.01, 0.01]),  # three heavy of eight
+        np.zeros(8),  # nothing heavy
+    ])
+    def test_weights_without_a_safe_screen_take_the_full_path(self, rng, weights):
+        cat = np.array([False, True] + [False] * 6)
+        c = np.round(rng.random((30, 8)), 1)
+        metric = CountingGrey(cat, 0.5, weights)
+        assert metric.screen(c) is None
+        if weights is None or np.isfinite(weights).all():  # NaN grades cannot be ranked
+            list(_ranked_blocks(metric, c[:5], c, 3))
+            assert metric.calls == 1
+
+    def test_few_heavy_features_and_light_rest_engage_the_screen(self, rng):
+        cat = np.array([False, True] + [False] * 6)
+        c = np.round(rng.random((30, 8)), 1)
+        metric = CountingGrey(cat, 0.5, np.array([0.6, 0.3, 0.02, 0.02, 0.02, 0.02, 0.01, 0.01]))
+        assert metric.screen(c) is not None
+        list(_ranked_blocks(metric, c[:5], c, 3))
+        assert metric.calls == 0

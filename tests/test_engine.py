@@ -33,7 +33,14 @@ from greyimpute.evaluate import rmse
 from greyimpute.folds import effective_fold_count, stratified_fold_ids
 from greyimpute.synth import gen_cubes, inject_mcar
 
-from _oracles import oracle_one_iteration, oracle_select_k
+from _oracles import (
+    oracle_bounds,
+    oracle_categorical_estimate,
+    oracle_grg,
+    oracle_numeric_estimate,
+    oracle_one_iteration,
+    oracle_select_k,
+)
 from conftest import build_dataset, random_mixed_dataset
 
 NAN = float("nan")
@@ -117,6 +124,18 @@ def tied_table(rng, n):
     return values, labels, np.array([False, True, False, False])
 
 
+def screened_table(rng, n):
+    """:func:`tied_table` plus six rounded noise columns, with weights
+    on two heavy features (one categorical) that leave the light ones 0.05
+    (under 1/p = 0.1) together, so the grey screen engages."""
+    values, labels, cat = tied_table(rng, n)
+    values = np.hstack([values, np.round(rng.random((n, 6)), 1)])
+    cat = np.append(cat, np.zeros(6, dtype=bool))
+    weights = np.concatenate([[0.6, 0.35, 0.02, 0.01], np.full(6, 0.02 / 6)])
+    assert GreyMetric(cat, 0.5, weights).screen(values) is not None
+    return values, labels, cat, weights
+
+
 class TestSelectKOracle:
     @pytest.mark.parametrize("metric_name", ["heom", "grey"])
     def test_errors_per_k_and_choice_match_oracle(self, rng, metric_name):
@@ -131,6 +150,18 @@ class TestSelectKOracle:
             fold_ids = stratified_fold_ids(labels, effective_fold_count(labels, 5), trial)
             expected, chosen = oracle_select_k(
                 values, labels, fold_ids, grid, cat, metric_name, 0.5, weights
+            )
+            assert _cv_errors(values, labels, metric, grid, 5, trial) == expected
+            assert select_k(values, labels, metric, grid, 5, trial) == chosen
+
+    def test_screened_grey_matches_oracle(self, rng):
+        grid = (1, 2, 3, 4, 6, 9, 15)
+        for trial in range(4):
+            values, labels, cat, weights = screened_table(rng, int(rng.integers(40, 80)))
+            metric = GreyMetric(cat, 0.5, weights)
+            fold_ids = stratified_fold_ids(labels, effective_fold_count(labels, 5), trial)
+            expected, chosen = oracle_select_k(
+                values, labels, fold_ids, grid, cat, "grey", 0.5, weights
             )
             assert _cv_errors(values, labels, metric, grid, 5, trial) == expected
             assert select_k(values, labels, metric, grid, 5, trial) == chosen
@@ -167,6 +198,29 @@ class TestBlockBudget:
         whole = _cv_errors(values, labels, metric, DEFAULT_K_GRID, 10, 3)
         monkeypatch.setattr(distance, "BLOCK_BYTES", budget)
         assert _cv_errors(values, labels, metric, DEFAULT_K_GRID, 10, 3) == whole
+
+    @pytest.mark.parametrize("budget", [1, 50_000])
+    def test_select_k_screened(self, rng, monkeypatch, budget):
+        values, labels, cat, weights = screened_table(rng, 150)
+        metric = GreyMetric(cat, 0.5, weights)
+        whole = _cv_errors(values, labels, metric, DEFAULT_K_GRID, 10, 3)
+        monkeypatch.setattr(distance, "BLOCK_BYTES", budget)
+        assert _cv_errors(values, labels, metric, DEFAULT_K_GRID, 10, 3) == whole
+
+    @pytest.mark.parametrize("budget", [1, 50_000])
+    def test_impute_test_screened(self, rng, monkeypatch, budget):
+        levels = {1: ("a", "b", "c")}
+        values, labels, _, weights = screened_table(rng, 120)
+        values[rng.random(values.shape) < 0.1] = NAN
+        train = build_dataset(values, levels, labels=labels)
+        config = ImputeConfig(method="cgknn", k=3, seed=1)
+        result = run_plan(train, config, PLANS[Method.CGKNN], weights_override=weights)
+        queries, _, _, _ = screened_table(rng, 60)
+        queries[rng.random(queries.shape) < 0.3] = NAN
+        test = build_dataset(queries, levels)
+        whole = impute_test(result, test, config).values
+        monkeypatch.setattr(distance, "BLOCK_BYTES", budget)
+        assert np.array_equal(impute_test(result, test, config).values, whole)
 
     @pytest.mark.parametrize("budget", [1, 50_000])
     @pytest.mark.parametrize("method", ["iknn", "gknn", "cgknn"])
@@ -465,6 +519,35 @@ class TestImputeTest:
         test = build_dataset(np.empty((0, 3)))
         out = impute_test(result, test, config)
         assert out.n == 0
+
+    def test_screened_cgknn_matches_oracle(self, rng):
+        # the screen engages on these weights; every estimate is rebuilt
+        # from the oracle's bounds, grades, ranking and estimators
+        levels = {1: ("a", "b", "c")}
+        values, labels, cat, weights = screened_table(rng, 90)
+        values[rng.random(values.shape) < 0.1] = NAN
+        train = build_dataset(values, levels, labels=labels)
+        config = ImputeConfig(method="cgknn", k=4, seed=1)
+        result = run_plan(train, config, PLANS[Method.CGKNN], weights_override=weights)
+        queries, _, _, _ = screened_table(rng, 40)
+        queries[rng.random(queries.shape) < 0.3] = NAN
+        test = build_dataset(queries, levels)
+        out = result.ranges.to_unit(impute_test(result, test, config).values)
+        donors = result.ranges.to_unit(result.completed.values).tolist()
+        assert GreyMetric(cat, 0.5, weights).screen(np.array(donors)) is not None
+        for r, query in enumerate(result.ranges.to_unit(queries).tolist()):
+            dmin, dmax = oracle_bounds(query, donors, cat)
+            dist = [1.0 - oracle_grg(query, d, cat, dmin, dmax, 0.5, weights) for d in donors]
+            nearest = sorted(range(len(donors)), key=lambda i: (dist[i], i))[:4]
+            nd = [dist[i] for i in nearest]
+            for j in np.nonzero(np.isnan(queries[r]))[0]:
+                nv = [donors[i][j] for i in nearest]
+                if cat[j]:
+                    assert out[r, j] == oracle_categorical_estimate(nd, nv, 3, True)
+                else:
+                    assert out[r, j] == pytest.approx(
+                        oracle_numeric_estimate(nd, nv, True), rel=1e-12, abs=1e-12
+                    )
 
     def test_schema_mismatch_rejected(self, rng):
         from greyimpute.errors import SchemaMismatchError
