@@ -14,7 +14,6 @@ from .dataset import (
     RangeTable,
     Schema,
     ValidationReport,
-    denormalize,
     normalize,
     validate,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "ValidationReport",
     "validate",
     "normalize",
-    "denormalize",
     "Method",
     "ImputeConfig",
     "ImputationResult",

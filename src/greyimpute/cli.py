@@ -29,6 +29,8 @@ from .errors import DataError
 from .evaluate import REPORT_FIELDS, BenchmarkSpec, benchmark, kfold_cv, rmse
 from .io import (
     SchemaConfig,
+    csv_field,
+    csv_line,
     format_json,
     infer_schema,
     read_csv,
@@ -191,21 +193,24 @@ def _write_dataset_outputs(ns, dataset, inputs, flipped=None):
 
 
 def _write_positions_csv(path, dataset, positions):
+    lines = [csv_line([csv_field(f.name) for f in dataset.schema.features])]
+    lines += [csv_line(row) for row in np.where(positions, "1", "0").tolist()]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow([f.name for f in dataset.schema.features])
-        for row in positions.astype(int):
-            writer.writerow(list(row))
+        fh.write("".join(lines))
     return path
 
 
-def _read_positions_csv(path, schema):
-    rows = list(_csv.reader(Path(path).read_text(encoding="utf-8").splitlines()))
-    header, body = rows[0], rows[1:]
-    expected = [f.name for f in schema.features]
-    if header != expected:
+def _read_positions_csv(path, truth):
+    """The 0/1 mask of scored cells: the truth's feature names, then one
+    row of 0 or 1 cells per truth row."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(_csv.reader(fh))
+    if not rows or rows[0] != [f.name for f in truth.schema.features]:
         raise DataError("mask header does not match the schema's feature columns")
-    return np.array([[int(cell) for cell in row] for row in body], dtype=bool)
+    body = rows[1:]
+    if len(body) != truth.n or any(len(r) != truth.p or not set(r) <= {"0", "1"} for r in body):
+        raise DataError(f"mask must hold {truth.n} rows of {truth.p} cells, each 0 or 1")
+    return np.array(body, dtype=str).reshape(truth.n, truth.p) == "1"
 
 
 def _cmd_synth(ns) -> int:
@@ -308,7 +313,7 @@ def _cmd_eval(ns) -> int:
     config = SchemaConfig.from_text(Path(ns.schema).read_text(encoding="utf-8"))
     truth = read_csv(Path(ns.truth).read_text(encoding="utf-8"), config)
     imputed = read_csv(Path(ns.imputed).read_text(encoding="utf-8"), config)
-    positions = _read_positions_csv(ns.mask, truth.schema)
+    positions = _read_positions_csv(ns.mask, truth)
     metrics = {"rmse": rmse(truth, imputed, positions), "masked_cells": int(positions.sum())}
     if imputed.labels is not None:
         metrics["classification_accuracy"] = kfold_cv(imputed, seed=ns.seed)

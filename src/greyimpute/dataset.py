@@ -28,7 +28,6 @@ __all__ = [
     "Violation",
     "validate",
     "normalize",
-    "denormalize",
 ]
 
 
@@ -274,12 +273,8 @@ def normalize(dataset: Dataset) -> tuple[Dataset, RangeTable]:
     min/max taken over the column's observed cells, so the largest raw
     value maps to 0 and the smallest to 1. Constant columns map to 0.
     Categorical and missing cells pass through unchanged. The returned
-    RangeTable supports the inverse transform.
+    RangeTable's ``from_unit`` is the inverse transform.
     """
     ranges = RangeTable.from_dataset(dataset)
     return dataset.with_values(ranges.to_unit(dataset.values)), ranges
 
-
-def denormalize(dataset: Dataset, ranges: RangeTable) -> Dataset:
-    """Invert :func:`normalize` using the recorded column ranges."""
-    return dataset.with_values(ranges.from_unit(dataset.values))

@@ -44,9 +44,9 @@ __all__ = [
     "MethodPlan",
     "ImputeConfig",
     "ImputationResult",
+    "column_fill",
     "initial_impute",
     "select_k",
-    "nearest_neighbors",
     "impute_numeric_cell",
     "impute_categorical_cell",
     "run_impute",
@@ -163,58 +163,43 @@ class ImputationResult:
     ranges: RangeTable
 
 
-def _column_mean(values, mask, j):
-    obs = values[mask[:, j], j]
-    return float(obs.mean()) if obs.size else None
-
-
-def _column_mode(values, mask, j, n_levels):
-    obs = values[mask[:, j], j]
-    if not obs.size:
-        return None
-    counts = np.bincount(obs.astype(int), minlength=n_levels)
-    return float(np.argmax(counts))
+def column_fill(values: np.ndarray, mask: np.ndarray, schema) -> np.ndarray:
+    """Per column of ``values``, the mean of its observed cells (``mask``
+    True) for a continuous column or their mode, ties to the lowest level
+    index, for a categorical one; NaN where nothing is observed."""
+    out = np.full(values.shape[1], np.nan)
+    for j, feat in enumerate(schema.features):
+        obs = values[mask[:, j], j]
+        if not obs.size:
+            continue
+        if feat.levels is None:
+            out[j] = obs.mean()
+        else:
+            out[j] = np.argmax(np.bincount(obs.astype(int), minlength=len(feat.levels)))
+    return out
 
 
 def initial_impute(dataset: Dataset, per_class: bool = False) -> Dataset:
     """Mean/mode pre-fill producing a complete matrix.
 
-    Continuous gaps take the observed column mean, categorical gaps the
-    observed column mode (ties to the lowest level index). With
-    ``per_class`` the statistics come from the row's own class, falling
-    back to the whole column when a class has nothing observed there.
+    Every gap takes its :func:`column_fill` value. With ``per_class`` the
+    statistics come from the row's own class, falling back to the whole
+    column when a class has nothing observed there.
     """
-    cat = dataset.schema.categorical_mask
-    vals = dataset.values.copy()
-    feats = dataset.schema.features
-
-    def fill(rows: np.ndarray, global_fallback: bool):
-        sub_mask = dataset.mask[rows]
-        for j in range(dataset.p):
-            gaps = rows[~sub_mask[:, j]]
-            if gaps.size == 0:
-                continue
-            if cat[j]:
-                stat = _column_mode(dataset.values[rows], sub_mask, j, len(feats[j].levels))
-                if stat is None and global_fallback:
-                    stat = _column_mode(dataset.values, dataset.mask, j, len(feats[j].levels))
-            else:
-                stat = _column_mean(dataset.values[rows], sub_mask, j)
-                if stat is None and global_fallback:
-                    stat = _column_mean(dataset.values, dataset.mask, j)
-            if stat is None:
-                raise DataError(
-                    f"column {feats[j].name!r} has no observed values to impute from"
-                )
-            vals[gaps, j] = stat
-
+    if per_class and dataset.labels is None:
+        raise DataError("per-class initial imputation requires labels")
+    whole = column_fill(dataset.values, dataset.mask, dataset.schema)
+    empty = np.isnan(whole) & ~dataset.mask.all(axis=0)
+    if empty.any():
+        name = dataset.schema.features[int(np.argmax(empty))].name
+        raise DataError(f"column {name!r} has no observed values to impute from")
+    vals = np.where(dataset.mask, dataset.values, whole)
     if per_class:
-        if dataset.labels is None:
-            raise DataError("per-class initial imputation requires labels")
         for y in np.unique(dataset.labels):
-            fill(np.nonzero(dataset.labels == y)[0], global_fallback=True)
-    else:
-        fill(np.arange(dataset.n), global_fallback=False)
+            rows = np.nonzero(dataset.labels == y)[0]
+            own = column_fill(dataset.values[rows], dataset.mask[rows], dataset.schema)
+            gap_rows, gap_cols = np.nonzero(~dataset.mask[rows])
+            vals[rows[gap_rows], gap_cols] = np.where(np.isnan(own), whole, own)[gap_cols]
     return dataset.with_values(vals, np.ones_like(dataset.mask))
 
 
@@ -309,23 +294,6 @@ def select_k(
     return min(errors, key=lambda k: (errors[k], k))
 
 
-def nearest_neighbors(
-    query: np.ndarray,
-    candidate_rows: np.ndarray,
-    candidate_indices: np.ndarray,
-    metric,
-    k: int,
-) -> list[tuple[int, float]]:
-    """The k candidates closest to the query, ascending by distance with
-    ties broken by ascending row index."""
-    if len(candidate_indices) < k:
-        raise InsufficientCandidatesError(
-            f"need {k} candidates, have {len(candidate_indices)}"
-        )
-    d = metric.distances(query[None, :], candidate_rows)
-    return [(int(candidate_indices[i]), float(d[0, i])) for i in _nearest(d, k)[0]]
-
-
 def impute_numeric_cell(
     distances: np.ndarray,
     values: np.ndarray,
@@ -390,7 +358,6 @@ class RunState:
     k: int
     weights: np.ndarray | None
     incomplete_rows: np.ndarray
-    missing_cols: dict[int, np.ndarray]
     class_rows: dict[int, np.ndarray] | None
     used_pool_fallback: bool = False
 
@@ -398,7 +365,7 @@ class RunState:
 @dataclass(frozen=True)
 class SweepResult:
     max_change: float
-    neighbors: dict[int, list[tuple[int, float]]]
+    neighbors: dict[int, np.ndarray]  # row -> donor indices, nearest first
 
 
 def _build_metric(plan: MethodPlan, schema, rho: float, weights):
@@ -416,6 +383,16 @@ def _require_valid(dataset: Dataset) -> None:
             f"dataset fails validation with {len(report.violations)} violation(s); "
             f"first: {first.kind} at ({first.row}, {first.column})"
         )
+
+
+def _checked_weights(weights, p: int) -> np.ndarray:
+    try:
+        out = np.asarray(weights, dtype=float)
+    except (TypeError, ValueError):
+        out = None
+    if out is None or out.shape != (p,) or not (np.isfinite(out) & (out >= 0)).all():
+        raise DataError(f"weights_override must be {p} finite, non-negative numbers")
+    return out
 
 
 def prepare(
@@ -436,7 +413,7 @@ def prepare(
     initial = initial_impute(normalized, per_class=plan.per_class_pool)
 
     if weights_override is not None:
-        weights = np.asarray(weights_override, dtype=float)
+        weights = _checked_weights(weights_override, dataset.p)
     elif plan.weight_source == "class_mi":
         weights, _ = dataset_class_weights(initial)
     elif plan.weight_source == "feature_mi":
@@ -460,7 +437,6 @@ def prepare(
             initial.values, dataset.labels, metric, config.k_grid, config.folds, config.seed
         )
 
-    missing_cols = {int(r): np.nonzero(~dataset.mask[r])[0] for r in incomplete}
     class_rows = None
     if plan.per_class_pool:
         class_rows = {
@@ -475,21 +451,18 @@ def prepare(
         k=k,
         weights=weights,
         incomplete_rows=incomplete,
-        missing_cols=missing_cols,
         class_rows=class_rows,
     )
 
 
 def _pool_for(state: RunState, row: int) -> np.ndarray:
-    n = state.dataset.n
     if state.class_rows is not None:
         rows = state.class_rows[int(state.dataset.labels[row])]
         pool = rows[rows != row]
         if len(pool) >= state.k:
             return pool
         state.used_pool_fallback = True
-    pool = np.arange(n)
-    pool = pool[pool != row]
+    pool = np.delete(np.arange(state.dataset.n), row)
     if len(pool) < state.k:
         raise InsufficientCandidatesError(
             f"row {row}: {len(pool)} candidates for k={state.k}"
@@ -499,15 +472,15 @@ def _pool_for(state: RunState, row: int) -> np.ndarray:
 
 def _estimate_row(
     donors: np.ndarray,
-    nbrs: list[tuple[int, float]],
+    idx: np.ndarray,
+    dist: np.ndarray,
     cols: np.ndarray,
     schema,
     weighted: bool,
 ) -> list[float]:
-    """Estimate the cells ``cols`` of one row from its ranked neighbors'
-    values in ``donors`` (normalized scale)."""
-    idx = np.array([i for i, _ in nbrs], dtype=int)
-    dist = np.array([d for _, d in nbrs], dtype=float)
+    """Estimate the cells ``cols`` of one row from the rows ``idx`` of
+    ``donors`` (normalized scale), its neighbors ranked nearest first at
+    distances ``dist``."""
     out = []
     for j in cols:
         nb_vals = donors[idx, j]
@@ -535,19 +508,21 @@ def sweep(state: RunState) -> SweepResult:
     """
     schema = state.dataset.schema
     cat = schema.categorical_mask
-    neighbors_out: dict[int, list[tuple[int, float]]] = {}
+    neighbors_out: dict[int, np.ndarray] = {}
     max_change = 0.0
     for r in state.incomplete_rows:
         r = int(r)
         pool = _pool_for(state, r)
-        cols = state.missing_cols[r]
+        cols = np.flatnonzero(~state.dataset.mask[r])
         query = state.values[r].copy()
         query[cols] = np.nan
-        nbrs = nearest_neighbors(
-            query, state.values[pool], pool, state.metric, state.k
+        # a one-row block, never screened: the pool changes every row
+        d = state.metric.distances(query[None, :], state.values[pool])
+        nearest = _nearest(d, state.k)[0]
+        neighbors_out[r] = pool[nearest]
+        est = _estimate_row(
+            state.values, pool[nearest], d[0, nearest], cols, schema, state.plan.weighted_cells
         )
-        neighbors_out[r] = nbrs
-        est = _estimate_row(state.values, nbrs, cols, schema, state.plan.weighted_cells)
         for j, e in zip(cols, est):
             old = state.values[r, j]
             change = (0.0 if e == old else 1.0) if cat[j] else abs(e - old)
@@ -556,12 +531,16 @@ def sweep(state: RunState) -> SweepResult:
     return SweepResult(max_change, neighbors_out)
 
 
+def _completed(dataset: Dataset, ranges: RangeTable, unit_values: np.ndarray) -> Dataset:
+    """The dataset with every gap taken from ``unit_values`` (normalized
+    scale) and every observed cell kept as it was."""
+    out = np.where(dataset.mask, dataset.values, ranges.from_unit(unit_values))
+    return Dataset(dataset.schema, out, np.ones_like(dataset.mask), dataset.labels)
+
+
 def _compose_result(state: RunState, trace: list[float], converged: bool) -> ImputationResult:
-    dataset = state.dataset
-    out = np.where(dataset.mask, dataset.values, state.ranges.from_unit(state.values))
-    completed = Dataset(dataset.schema, out, np.ones_like(dataset.mask), dataset.labels)
     return ImputationResult(
-        completed=completed,
+        completed=_completed(state.dataset, state.ranges, state.values),
         trace=tuple(trace),
         iterations=len(trace),
         chosen_k=state.k,
@@ -608,9 +587,9 @@ def impute_test(
     test time) with the training feature weights; there is no iteration.
     Incomplete test rows are ranked in blocks of fixed byte size, through
     the exact screen of :func:`_ranked_blocks` where the weights allow it.
-    A non-iterative method (mean/mode) fills every gap with the column
-    mean/mode of the completed training matrix, which is the value its
-    fit wrote into that column's missing training cells.
+    A non-iterative method (mean/mode) fills every gap with the
+    :func:`column_fill` of the completed training matrix, which is the
+    value its fit wrote into that column's missing training cells.
     """
     train = result.completed
     # the test set carries no class column; only the features must agree
@@ -624,13 +603,7 @@ def impute_test(
     train_vals = ranges.to_unit(train.values)
     test_vals = ranges.to_unit(np.where(test.mask, test.values, np.nan))
     if not plan.iterative:
-        full = np.ones_like(train.mask)
-        for j in np.nonzero(~test.mask.all(axis=0))[0]:
-            levels = test.schema.features[j].levels
-            test_vals[~test.mask[:, j], j] = (
-                _column_mean(train_vals, full, j) if levels is None
-                else _column_mode(train_vals, full, j, len(levels))
-            )
+        test_vals = np.where(test.mask, test_vals, column_fill(train_vals, train.mask, train.schema))
     else:
         metric = _build_metric(plan, test.schema, config.rho, result.weights_used)
         k = result.chosen_k if result.chosen_k >= 1 else 1
@@ -640,11 +613,9 @@ def impute_test(
         # each row's estimate writes only that row, so a block's queries
         # may all be read before any of them is filled
         for start, dist, nearest in _ranked_blocks(metric, test_vals[rows], train_vals, k):
-            for r, dr, order in zip(rows[start:], dist.tolist(), nearest.tolist()):
+            for r, dr, order in zip(rows[start:], dist, nearest):
                 gaps = np.nonzero(~test.mask[r])[0]
-                nbrs = list(zip(order, dr))
                 test_vals[r, gaps] = _estimate_row(
-                    train_vals, nbrs, gaps, test.schema, plan.weighted_cells
+                    train_vals, order, dr, gaps, test.schema, plan.weighted_cells
                 )
-    out = np.where(test.mask, test.values, ranges.from_unit(test_vals))
-    return Dataset(test.schema, out, np.ones_like(test.mask), test.labels)
+    return _completed(test, ranges, test_vals)

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._rng import derive_seed
 from .dataset import Dataset, RangeTable
-from .engine import ImputeConfig, Method, run_impute
+from .engine import ImputeConfig, Method, column_fill, run_impute
 from .errors import (
     DataError,
     DegenerateClassError,
@@ -55,6 +55,11 @@ def rmse(truth: Dataset, imputed: Dataset, positions: np.ndarray) -> float:
     if truth.schema != imputed.schema:
         raise SchemaMismatchError("truth and imputed schemas differ")
     positions = np.asarray(positions, dtype=bool)
+    shape = truth.values.shape
+    if imputed.values.shape != shape or positions.shape != shape:
+        raise LengthMismatchError(
+            f"truth is {shape}, imputed {imputed.values.shape}, positions {positions.shape}"
+        )
     m = int(positions.sum())
     if m == 0:
         raise EmptyMaskError("no masked cells to score")
@@ -156,25 +161,25 @@ def classification_accuracy(predicted, truth) -> float:
     return float((predicted == truth).mean())
 
 
-def kfold_cv(dataset: Dataset, folds: int = ImputeConfig.folds, seed: int = 0) -> float:
-    """Mean held-out naive-Bayes accuracy over stratified folds."""
+def _folds(dataset: Dataset, folds: int, seed: int):
+    """(training rows, held-out rows) of each stratified fold."""
     if dataset.labels is None:
         raise DataError("cross-validation needs class labels")
     folds = effective_fold_count(dataset.labels, folds)
     fold_ids = stratified_fold_ids(dataset.labels, folds, seed)
-    accs = []
     for f in range(folds):
-        train = np.nonzero(fold_ids != f)[0]
-        test = np.nonzero(fold_ids == f)[0]
-        model = nb_fit(
-            Dataset(
-                dataset.schema,
-                dataset.values[train],
-                dataset.mask[train],
-                dataset.labels[train],
-            )
-        )
-        pred = nb_predict(model, dataset.values[test])
+        yield np.nonzero(fold_ids != f)[0], np.nonzero(fold_ids == f)[0]
+
+
+def _rows(dataset: Dataset, rows: np.ndarray) -> Dataset:
+    return Dataset(dataset.schema, dataset.values[rows], dataset.mask[rows], dataset.labels[rows])
+
+
+def kfold_cv(dataset: Dataset, folds: int = ImputeConfig.folds, seed: int = 0) -> float:
+    """Mean held-out naive-Bayes accuracy over stratified folds."""
+    accs = []
+    for train, test in _folds(dataset, folds, seed):
+        pred = nb_predict(nb_fit(_rows(dataset, train)), dataset.values[test])
         accs.append(classification_accuracy(pred, dataset.labels[test]))
     return float(np.mean(accs))
 
@@ -184,41 +189,16 @@ def no_imputation_cv(
 ) -> float:
     """Baseline accuracy without imputation: fit on the training fold's
     complete cases only; fill a test row's gaps with the training fold's
-    observed column means/modes at predict time."""
-    if dataset.labels is None:
-        raise DataError("cross-validation needs class labels")
-    cat = dataset.schema.categorical_mask
-    folds = effective_fold_count(dataset.labels, folds)
-    fold_ids = stratified_fold_ids(dataset.labels, folds, seed)
+    observed column means/modes (:func:`~greyimpute.engine.column_fill`)
+    at predict time."""
     accs = []
-    for f in range(folds):
-        train = np.nonzero(fold_ids != f)[0]
-        test = np.nonzero(fold_ids == f)[0]
-        complete = train[dataset.mask[train].all(axis=1)]
-        model = nb_fit(
-            Dataset(
-                dataset.schema,
-                dataset.values[complete],
-                dataset.mask[complete],
-                dataset.labels[complete],
-            )
-        )
-        fill = np.empty(dataset.p)
-        for j in range(dataset.p):
-            obs = dataset.values[train, j][dataset.mask[train, j]]
-            if obs.size == 0:
-                raise DataError(f"column {j} unobserved in a training fold")
-            if cat[j]:
-                counts = np.bincount(
-                    obs.astype(int), minlength=len(dataset.schema.features[j].levels)
-                )
-                fill[j] = float(np.argmax(counts))
-            else:
-                fill[j] = float(obs.mean())
-        rows = dataset.values[test].copy()
-        gaps = ~dataset.mask[test]
-        rows[gaps] = np.broadcast_to(fill, rows.shape)[gaps]
-        pred = nb_predict(model, rows)
+    for train, test in _folds(dataset, folds, seed):
+        model = nb_fit(_rows(dataset, train[dataset.mask[train].all(axis=1)]))
+        fill = column_fill(dataset.values[train], dataset.mask[train], dataset.schema)
+        if np.isnan(fill).any():
+            j = int(np.argmax(np.isnan(fill)))
+            raise DataError(f"column {j} unobserved in a training fold")
+        pred = nb_predict(model, np.where(dataset.mask[test], dataset.values[test], fill))
         accs.append(classification_accuracy(pred, dataset.labels[test]))
     return float(np.mean(accs))
 

@@ -246,19 +246,38 @@ def read_csv(text: str, config: SchemaConfig) -> Dataset:
     return Dataset(schema, values, mask, labels)
 
 
+def csv_field(text: str) -> str:
+    """``text`` as one CSV field: quoted, with its quotes doubled, when it
+    holds a comma, quote, line feed or carriage return. (The csv module's
+    writer quotes a carriage return only when it ends rows in one, and its
+    reader refuses a bare one.)"""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def csv_line(fields: list[str]) -> str:
+    """One CSV line of rendered fields; a lone empty field is written as
+    ``""`` so the line does not read back as blank."""
+    return (",".join(fields) if fields != [""] else '""') + "\n"
+
+
 def write_csv(dataset: Dataset, missing_token: str | None = None) -> str:
     """Render a dataset as CSV text; features first, class column last.
 
     Missing cells are emitted as ``missing_token`` (default "NA", the
-    first default missing token)."""
-    token = DEFAULT_MISSING_TOKENS[0] if missing_token is None else missing_token
-    header = [f.name for f in dataset.schema.features]
-    if dataset.schema.class_column is not None:
-        header.append(dataset.schema.class_column)
+    first default missing token). Names, levels and the token are quoted
+    once each by :func:`csv_field`; a number never needs quotes."""
+    token = csv_field(DEFAULT_MISSING_TOKENS[0] if missing_token is None else missing_token)
+    schema = dataset.schema
+    header = [csv_field(f.name) for f in schema.features]
+    if schema.class_column is not None:
+        header.append(csv_field(schema.class_column))
     buf = _stdio.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    levels = [f.levels for f in dataset.schema.features]
+    buf.write(csv_line(header))
+    levels = [None if f.levels is None else [csv_field(lv) for lv in f.levels]
+              for f in schema.features]
+    classes = [csv_field(c) for c in schema.class_levels]
     labels = None if dataset.labels is None else dataset.labels.tolist()
     for i, (values, mask) in enumerate(zip(dataset.values.tolist(), dataset.mask.tolist())):
         row = [
@@ -267,9 +286,9 @@ def write_csv(dataset: Dataset, missing_token: str | None = None) -> str:
             else lv[int(v)]
             for v, m, lv in zip(values, mask, levels)
         ]
-        if dataset.schema.class_column is not None:
-            row.append(dataset.schema.class_levels[labels[i]])
-        writer.writerow(row)
+        if schema.class_column is not None:
+            row.append(classes[labels[i]])
+        buf.write(csv_line(row))
     return buf.getvalue()
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from greyimpute.dataset import denormalize, normalize
+from greyimpute.dataset import normalize
 from greyimpute.distance import GreyMetric
 from greyimpute.engine import ImputeConfig, prepare, run_impute, sweep
 from greyimpute.evaluate import BenchmarkSpec, benchmark
@@ -99,7 +99,7 @@ def test_criterion_1_oracle_equivalence():
                 ds, method, k, rho=0.5, weights=state.weights
             )
             for row, nbrs in result.neighbors.items():
-                if [i for i, _ in nbrs] != [i for i, _ in oracle_nbrs[row]]:
+                if list(nbrs) != [i for i, _ in oracle_nbrs[row]]:
                     failures.append(f"neighbors diverge ({method}, trial {trial})")
                     break
             if not np.allclose(state.values, oracle_vals, atol=1e-12, rtol=0):
@@ -258,12 +258,12 @@ def test_criterion_7_invariant_suites(cube_rows, mvn_rows, iris_rows):
     if any(e.mi < 0 or e.mi > 1.0 + 1e-9 for e in estimates):  # H(Y)=1 bit here
         failures.append("MI outside [0, H(Y)]")
 
-    # normalize/denormalize round trip at 1e-12
+    # normalize/from_unit round trip at 1e-12
     vals = rng.normal(scale=100.0, size=(30, 4))
     ds = build_dataset(vals)
     norm, ranges = normalize(ds)
-    back = denormalize(norm, ranges)
-    if not np.allclose(back.values, vals, rtol=1e-12, atol=1e-9):
+    back = ranges.from_unit(norm.values)
+    if not np.allclose(back, vals, rtol=1e-12, atol=1e-9):
         failures.append("round trip beyond 1e-12")
 
     # convergence at epsilon=1e-4 on every benchmark scenario

@@ -4,10 +4,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import greyimpute
-from greyimpute.cli import _config_from, _spec_from_file, build_parser, main
+from greyimpute.cli import (
+    _config_from,
+    _read_positions_csv,
+    _spec_from_file,
+    _write_positions_csv,
+    build_parser,
+    main,
+)
+from greyimpute.dataset import Dataset, Feature, Schema
 from greyimpute.engine import ImputeConfig
 from greyimpute.estimator import GreyKNNImputer
 from greyimpute.evaluate import REPORT_FIELDS
@@ -221,7 +230,11 @@ class TestSynthAndInject:
 
 
 class TestEvalCommand:
-    def test_scores_injected_cells(self, tmp_path, capsys):
+    @staticmethod
+    def _files(tmp_path):
+        """Truth and imputed CSVs (the imputed one equal to the truth), their
+        schema, and the hand-written mask lines of the cells that
+        ``inject_mcar`` holes; returns the positions, mask lines and argv."""
         truth = gen_cubes(2)
         holed = inject_mcar(truth, ["x1"], 0.1, 9)
         config = SchemaConfig(
@@ -237,21 +250,51 @@ class TestEvalCommand:
         positions = truth.mask & ~holed.mask
         # write the mask by hand to match the eval contract
         header = ",".join(f.name for f in truth.schema.features)
-        body = "\n".join(
+        lines = [header] + [
             ",".join(str(int(v)) for v in row) for row in positions.astype(int)
-        )
-        (tmp_path / "mask.csv").write_text(header + "\n" + body + "\n")
+        ]
         (tmp_path / "imputed.csv").write_text(write_csv(truth))
-        code = main([
+        argv = [
             "eval", "--truth", _p(tmp_path / "truth.csv"),
             "--imputed", _p(tmp_path / "imputed.csv"),
             "--mask", _p(tmp_path / "mask.csv"),
             "--schema", _p(tmp_path / "schema.cfg"),
-        ])
+        ]
+        return positions, lines, argv
+
+    def test_scores_injected_cells(self, tmp_path, capsys):
+        positions, lines, argv = self._files(tmp_path)
+        (tmp_path / "mask.csv").write_text("\n".join(lines) + "\n")
+        code = main(argv)
         assert code == 0
         metrics = json.loads(capsys.readouterr().out)
         assert metrics["rmse"] == 0.0
         assert metrics["masked_cells"] == int(positions.sum())
+
+    @pytest.mark.parametrize("mask", ["short", "empty", "bad-cell"])
+    def test_malformed_mask_is_data_error(self, tmp_path, capsys, mask):
+        positions, lines, argv = self._files(tmp_path)
+        row = int(np.argmax(positions[:, 0])) + 1  # a line holding a 1
+        if mask == "short":
+            lines = lines[:row + 1]
+        elif mask == "empty":
+            lines = []
+        else:
+            lines[row] = "x" + lines[row][1:]
+        (tmp_path / "mask.csv").write_text("".join(line + "\n" for line in lines))
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "mask" in err[0]
+        assert captured.out == ""
+
+    def test_positions_round_trip_carriage_return_names(self, tmp_path):
+        schema = Schema((Feature("a\rb"), Feature("c"), Feature("\r")))
+        truth = Dataset(schema, np.zeros((2, 3)), np.ones((2, 3), dtype=bool))
+        positions = np.array([[True, False, True], [False, False, True]])
+        _write_positions_csv(tmp_path / "mask.csv", truth, positions)
+        assert np.array_equal(_read_positions_csv(tmp_path / "mask.csv", truth), positions)
 
 
 class TestBenchmarkCommand:

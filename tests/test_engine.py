@@ -15,7 +15,6 @@ from greyimpute.engine import (
     impute_numeric_cell,
     impute_test,
     initial_impute,
-    nearest_neighbors,
     prepare,
     run_impute,
     run_plan,
@@ -240,25 +239,25 @@ class TestBlockBudget:
 
 
 class TestNearestNeighbors:
+    """Ranking a query against candidates the way a sweep does: one-row
+    block distances, then :func:`_nearest`."""
+
     def test_simple_ordering(self):
         metric = HeomMetric(np.array([False]))
-        got = nearest_neighbors(
-            np.array([0.0]), np.array([[1.0], [2.0], [3.0]]), np.arange(3), metric, 2
-        )
-        assert [i for i, _ in got] == [0, 1]
-        assert [d for _, d in got] == [1.0, 2.0]
+        d = metric.distances(np.array([[0.0]]), np.array([[1.0], [2.0], [3.0]]))
+        got = _nearest(d, 2)[0]
+        assert got.tolist() == [0, 1]
+        assert d[0, got].tolist() == [1.0, 2.0]
 
     def test_tie_breaks_to_lower_index(self):
         metric = HeomMetric(np.array([False]))
-        got = nearest_neighbors(
-            np.array([0.0]), np.array([[1.0], [-1.0]]), np.arange(2), metric, 1
-        )
-        assert got[0][0] == 0
+        d = metric.distances(np.array([[0.0]]), np.array([[1.0], [-1.0]]))
+        assert _nearest(d, 1)[0, 0] == 0
 
     def test_insufficient_candidates(self):
-        metric = HeomMetric(np.array([False]))
+        ds = build_dataset([[0.0], [NAN], [1.0]], labels=[0, 1, 0])
         with pytest.raises(InsufficientCandidatesError):
-            nearest_neighbors(np.array([0.0]), np.zeros((2, 1)), np.arange(2), metric, 3)
+            run_impute(ds, ImputeConfig(method="iknn", k=3))
 
     def test_grey_ranking_matches_exhaustive_oracle(self, rng):
         from _oracles import oracle_bounds, oracle_grg
@@ -266,10 +265,10 @@ class TestNearestNeighbors:
         cat = np.array([False, False, True])
         vals = rng.random((8, 3))
         vals[:, 2] = rng.integers(0, 2, size=8)
-        metric = GreyMetric(cat)
         q = vals[0]
         cands = vals[1:]
-        got = nearest_neighbors(q, cands, np.arange(1, 8), metric, 3)
+        d = GreyMetric(cat).distances(q[None, :], cands)
+        got = [(int(i) + 1, float(d[0, i])) for i in _nearest(d, 3)[0]]
         dmin, dmax = oracle_bounds(q, list(cands), cat)
         dists = [
             (i + 1, 1.0 - oracle_grg(q, cands[i], cat, dmin, dmax, 0.5))
@@ -360,6 +359,27 @@ class TestImputeConfig:
         config = ImputeConfig(k=np.int64(3), k_grid=[1, np.int64(3)], max_iter=np.int32(4))
         assert config.k_grid == (1, 3)
         assert config == ImputeConfig(k=3, k_grid=(1, 3), max_iter=4)
+
+
+class TestWeightsOverride:
+    @pytest.mark.parametrize("weights", [
+        np.full(23, np.nan),
+        np.full(5, 0.2),
+        np.r_[-0.1, np.full(22, 0.05)],
+        np.r_[np.inf, np.zeros(22)],
+        np.full((1, 23), 1 / 23),
+        ["w"] * 23,
+    ], ids=["nan", "length-5", "negative", "inf", "2-d", "text"])
+    def test_bad_vector_is_data_error(self, weights):
+        ds = inject_mcar(gen_cubes(1), ["x1"], 0.1, 1)
+        with pytest.raises(DataError, match="weights_override"):
+            run_plan(ds, ImputeConfig(method="cgknn", k=3), PLANS[Method.CGKNN], weights)
+
+    def test_zero_weights_on_some_features_accepted(self):
+        ds = inject_mcar(gen_cubes(1), ["x1"], 0.1, 1)
+        weights = np.r_[0.5, 0.5, np.zeros(21)]
+        result = run_plan(ds, ImputeConfig(method="cgknn", k=3), PLANS[Method.CGKNN], weights)
+        assert result.weights_used.tolist() == weights.tolist()
 
 
 class TestRunImpute:
@@ -471,7 +491,7 @@ class TestOracleEquivalence:
                     ds, method, k, rho=0.5, weights=state.weights
                 )
                 for row, nbrs in result.neighbors.items():
-                    assert [i for i, _ in nbrs] == [i for i, _ in oracle_nbrs[row]], (
+                    assert list(nbrs) == [i for i, _ in oracle_nbrs[row]], (
                         f"neighbor sets differ: {method}, trial {trial}, row {row}"
                     )
                 assert np.allclose(state.values, oracle_vals, atol=1e-12, rtol=0), (

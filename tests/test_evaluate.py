@@ -60,6 +60,14 @@ class TestRmse:
         with pytest.raises(EmptyMaskError):
             rmse(t, i, p)
 
+    @pytest.mark.parametrize("imputed_rows, positions_rows", [(3, 2), (2, 3), (2, 1)])
+    def test_shape_mismatch_rejected(self, imputed_rows, positions_rows):
+        truth = build_dataset([[0.0], [1.0]])
+        imputed = build_dataset([[0.5]] * imputed_rows)
+        positions = np.ones((positions_rows, 1), dtype=bool)
+        with pytest.raises(DataError, match="positions"):
+            rmse(truth, imputed, positions)
+
     def test_permutation_invariance(self, rng):
         vals = rng.random((10, 2))
         vals[0] = [0.0, 0.0]

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from greyimpute import distance
+from greyimpute import distance, relevance
 from greyimpute.dataset import Dataset, Schema
 from greyimpute.errors import EmptyInputError
 from greyimpute.relevance import (
@@ -83,6 +83,30 @@ class TestParzenConditionalEntropy:
         y = np.array([0, 1] * 5)
         h = parzen_conditional_entropy(x, y, 2)
         assert h == pytest.approx(1.0)  # posterior falls back to the priors
+
+
+class TestParzenClosedForm:
+    """On the cube geometry the exact MI is known: x1 separates the classes
+    (1 bit), the classes' x2 intervals touch only at their ends (1 bit) and
+    a quarter of the rows lie in an x3 band both classes share half and half
+    (0.75 bit). Silverman's bandwidth smooths across the class boundaries and
+    underestimates all three; a narrower window must close the gap."""
+
+    EXACT = np.array([1.0, 1.0, 0.75])
+
+    def test_gap_shrinks_with_the_bandwidth(self, monkeypatch):
+        cubes = [gen_cubes(seed) for seed in range(1, 11)]
+        gaps = []
+        for factor in (1.06, 0.5, 0.25, 0.1):
+            monkeypatch.setattr(relevance, "BANDWIDTH_FACTOR", factor)
+            mi = np.mean([
+                [mutual_information(d.values[:, j], d.labels, False, 2).mi for j in range(3)]
+                for d in cubes
+            ], axis=0)
+            gaps.append(np.abs(mi - self.EXACT))
+        gaps = np.array(gaps)  # factor x feature
+        assert (np.diff(gaps, axis=0) <= 0).all() and (gaps[-1] < gaps[0]).all(), gaps
+        assert (gaps[-1] <= 0.07).all(), gaps
 
 
 class TestParzenChunks:
