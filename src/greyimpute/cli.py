@@ -143,6 +143,9 @@ def _cmd_impute(ns) -> int:
         "feature_weights": None
         if result.weights_used is None
         else list(result.weights_used),
+        "feature_mi": None
+        if result.mi_estimates is None
+        else [{"mi_bits": e.mi, "estimator": e.estimator} for e in result.mi_estimates],
     }
     Path(trace_path).write_text(format_json(trace) + "\n", encoding="utf-8")
     outputs = [ns.out, trace_path]

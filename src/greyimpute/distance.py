@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 
-# bytes of float64 work arrays one kernel call or Parzen chunk may hold
+# bytes of float64 work arrays one kernel call may hold
 BLOCK_BYTES = 16 * 2**20
 
 

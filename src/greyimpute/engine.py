@@ -37,7 +37,7 @@ from .errors import (
     TooFewRowsError,
 )
 from .folds import effective_fold_count, stratified_fold_ids
-from .relevance import dataset_class_weights, feature_feature_weights
+from .relevance import MIEstimate, dataset_class_weights, feature_feature_weights
 
 __all__ = [
     "Method",
@@ -149,7 +149,8 @@ class ImputationResult:
     """A completed dataset plus the run's diagnostics.
 
     ``trace`` holds the largest absolute cell change (normalized scale;
-    categorical changes count as 1) per iteration. ``converged`` is False
+    categorical changes count as 1) per iteration. ``mi_estimates`` holds the
+    class MI behind class-MI weights, per feature. ``converged`` is False
     when the iteration cap stopped the run instead of the tolerance.
     """
 
@@ -158,6 +159,7 @@ class ImputationResult:
     iterations: int
     chosen_k: int
     weights_used: np.ndarray | None
+    mi_estimates: tuple[MIEstimate, ...] | None
     converged: bool
     used_pool_fallback: bool
     ranges: RangeTable
@@ -357,6 +359,7 @@ class RunState:
     metric: object
     k: int
     weights: np.ndarray | None
+    mi_estimates: tuple[MIEstimate, ...] | None
     incomplete_rows: np.ndarray
     class_rows: dict[int, np.ndarray] | None
     used_pool_fallback: bool = False
@@ -412,14 +415,13 @@ def prepare(
     normalized, ranges = normalize(dataset)
     initial = initial_impute(normalized, per_class=plan.per_class_pool)
 
+    weights = mi_estimates = None
     if weights_override is not None:
         weights = _checked_weights(weights_override, dataset.p)
     elif plan.weight_source == "class_mi":
-        weights, _ = dataset_class_weights(initial)
+        weights, mi_estimates = dataset_class_weights(initial)
     elif plan.weight_source == "feature_mi":
         weights = feature_feature_weights(initial)
-    else:
-        weights = None
 
     metric = _build_metric(plan, dataset.schema, config.rho, weights)
 
@@ -450,6 +452,7 @@ def prepare(
         metric=metric,
         k=k,
         weights=weights,
+        mi_estimates=mi_estimates,
         incomplete_rows=incomplete,
         class_rows=class_rows,
     )
@@ -545,6 +548,7 @@ def _compose_result(state: RunState, trace: list[float], converged: bool) -> Imp
         iterations=len(trace),
         chosen_k=state.k,
         weights_used=state.weights,
+        mi_estimates=state.mi_estimates,
         converged=converged,
         used_pool_fallback=state.used_pool_fallback,
         ranges=state.ranges,

@@ -135,8 +135,8 @@ class GreyKNNImputer:
         class_column = None
         if y is not None:
             y = np.asarray(y)
-            if y.shape != (X.shape[0],):
-                raise DataError("y length must match the number of rows")
+            if y.shape != (X.shape[0],) or any(v != v for v in y):  # v != v: NaN
+                raise DataError("y must hold one label per row, none of them NaN")
             seen: dict = {}
             for v in y:
                 seen.setdefault(v, len(seen))

@@ -6,7 +6,8 @@ features use plug-in histogram estimates; continuous features use Gaussian
 Parzen window density estimates, where the class posterior at a training
 point is the ratio of its class-restricted kernel sum to its total kernel
 sum. The bandwidth follows Silverman's rule h = 1.06 * std * n^(-1/5),
-floored so zero-variance features stay finite.
+floored so zero-variance features stay finite. The kernel sums are taken
+on a linearly binned grid in near-linear time (Silverman 1982, AS 176).
 
 All entropies are in bits (log base 2).
 """
@@ -18,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .distance import block_rows
-from .errors import EmptyInputError
+from .errors import DataError, EmptyInputError, LengthMismatchError
 
 __all__ = [
     "MIEstimate",
@@ -34,6 +34,9 @@ __all__ = [
 
 BANDWIDTH_FACTOR = 1.06
 BANDWIDTH_FLOOR = 1e-6
+# Parzen grid nodes per bandwidth h, and the kernel cut-off in bandwidths
+GRID_STEPS_PER_BANDWIDTH = 128
+KERNEL_CUTOFF = 9
 
 
 @dataclass(frozen=True)
@@ -80,36 +83,50 @@ def parzen_conditional_entropy(
     The class posterior at each training point is its class-restricted
     kernel sum over its total kernel sum (the shared bandwidth and the
     class priors cancel); the conditional entropy is the average posterior
-    entropy over training points. The n x n kernel is summed in row chunks
-    of at most :data:`greyimpute.distance.BLOCK_BYTES`, so memory grows
-    only linearly with n.
+    entropy over training points. Each class's points are binned linearly
+    onto a grid of spacing h / :data:`GRID_STEPS_PER_BANDWIDTH`, each class
+    row is convolved with the Gaussian sampled on that grid and cut at
+    :data:`KERNEL_CUTOFF` h, and each point's class sums are read back by
+    linear interpolation. The gap to the exact n x n sum (kept in
+    ``tests/_oracles.py``) is below 1e-5 bit and shrinks with the square of
+    the spacing. The sample range is at most sqrt(2 (n - 1)) sample sd, so
+    the grid needs no cap: it never holds more than about
+    128 sqrt(2n) n^0.2 / 1.06 nodes, 57 000 at n = 4000, whatever the data.
     """
     x = np.asarray(feature, dtype=float)
-    y = np.asarray(labels, dtype=int)
+    y = _codes(labels, n_classes, "class labels")
     n = len(x)
     if n < 2:
         raise EmptyInputError("parzen estimate needs at least 2 observations")
+    if not np.isfinite(x).all():
+        raise DataError("a continuous column must be finite; it holds NaN or inf")
     sd = float(np.std(x, ddof=1))
     h = max(BANDWIDTH_FACTOR * sd * n ** (-0.2), BANDWIDTH_FLOOR)
-    scale = 2.0 * h * h
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), y] = 1.0
-    numer = np.empty((n, n_classes))
-    step = block_rows(n, 1)
-    buf = np.empty((min(step, n), n))
-    for start in range(0, n, step):
-        chunk = buf[:min(step, n - start)]
-        np.subtract(x[start:start + step, None], x[None, :], out=chunk)
-        np.multiply(chunk, chunk, out=chunk)
-        # d*d / -scale is -(d*d) / scale bit for bit: rounding is symmetric
-        np.divide(chunk, -scale, out=chunk)
-        np.exp(chunk, out=chunk)
-        np.matmul(chunk, onehot, out=numer[start:start + step])
+    pos = (x - x.min()) * (GRID_STEPS_PER_BANDWIDTH / h)
+    left = pos.astype(int)
+    frac = pos - left
+    m = int(left.max()) + 2
+    flat = y * m + left
+    grid = np.bincount(flat, 1.0 - frac, n_classes * m)
+    grid += np.bincount(flat + 1, frac, n_classes * m)
+    # kernel taps past the grid's own span never reach a node
+    reach = min(KERNEL_CUTOFF * GRID_STEPS_PER_BANDWIDTH, m - 1)
+    kernel = np.exp(-0.5 * (np.arange(-reach, reach + 1) / GRID_STEPS_PER_BANDWIDTH) ** 2)
+    rows = grid.reshape(n_classes, m)
+    sums = np.array([np.convolve(row, kernel)[reach:reach + m] for row in rows])
+    numer = (sums[:, left] * (1.0 - frac) + sums[:, left + 1] * frac).T
     # the total kernel mass is the sum over class-restricted masses, so the
     # posterior rows sum to exactly one
     denom = numer.sum(axis=1)
     post = numer / denom[:, None]
     return float(-_plogp(post).sum(axis=1).mean())
+
+
+def _codes(values, count: float, what: str) -> np.ndarray:
+    v = np.asarray(values, dtype=float)
+    if not ((v >= 0) & (v < count) & (v == np.floor(v))).all():
+        raise DataError(f"{what} must be whole numbers in [0, {count})")
+    return v.astype(int)
 
 
 def _contingency(x: np.ndarray, y: np.ndarray, kx: int, ky: int) -> np.ndarray:
@@ -128,16 +145,22 @@ def mutual_information(
     """MI between one complete feature column and the class labels.
 
     Histogram path for categorical columns, Parzen path for continuous.
-    Clamped at zero: plug-in estimates can dip slightly negative.
+    Clamped at zero: plug-in estimates can dip slightly negative. Raises
+    :class:`DataError` for a NaN or inf continuous cell, for a label or code
+    that is not a whole number below its count, and for unequal lengths.
     """
-    y = np.asarray(labels, dtype=int)
+    x = np.asarray(column, dtype=float)
+    if x.shape != np.shape(labels):
+        raise LengthMismatchError(f"column has shape {x.shape}, labels {np.shape(labels)}")
+    y = _codes(labels, n_classes, "class labels")
     h_y = entropy_discrete(np.bincount(y, minlength=n_classes))
     if categorical:
-        table = _contingency(np.asarray(column), y, n_levels or int(max(column)) + 1, n_classes)
+        codes = _codes(x, np.inf if n_levels is None else n_levels, "categorical codes")
+        table = _contingency(codes, y, n_levels or int(codes.max()) + 1, n_classes)
         h_y_given_x = conditional_entropy_discrete(table)
         kind = "histogram"
     else:
-        h_y_given_x = parzen_conditional_entropy(column, y, n_classes)
+        h_y_given_x = parzen_conditional_entropy(x, y, n_classes)
         kind = "parzen"
     return MIEstimate(max(0.0, h_y - h_y_given_x), kind)
 
@@ -155,7 +178,7 @@ def class_weights(estimates: list[MIEstimate]) -> np.ndarray:
     return mi / total
 
 
-def dataset_class_weights(dataset: Dataset) -> tuple[np.ndarray, list[MIEstimate]]:
+def dataset_class_weights(dataset: Dataset) -> tuple[np.ndarray, tuple[MIEstimate, ...]]:
     """Per-feature class-relevance weights for a complete labeled dataset."""
     cat = dataset.schema.categorical_mask
     m = len(dataset.schema.class_levels)
@@ -170,7 +193,7 @@ def dataset_class_weights(dataset: Dataset) -> tuple[np.ndarray, list[MIEstimate
                 len(feat.levels) if feat.levels else None,
             )
         )
-    return class_weights(estimates), estimates
+    return class_weights(estimates), tuple(estimates)
 
 
 def _equal_frequency_bins(x: np.ndarray, bins: int = 10) -> np.ndarray:

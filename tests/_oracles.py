@@ -4,9 +4,9 @@ Everything here is written straight from the defining formulas with plain
 loops and explicit sorts: per-feature overlap/range distances combined by
 a root of summed squares, grey coefficients anchored at the query's
 candidate bounds, cross-validated k selection by full sorts and literal
-majority votes, inverse-square / rank-weighted cell estimators, and one
-full imputation sweep per method. No code is shared with the package
-beyond the Dataset container.
+majority votes, inverse-square / rank-weighted cell estimators, the exact
+n x n Parzen conditional entropy, and one full imputation sweep per
+method. No code is shared with the package beyond the Dataset container.
 """
 
 import math
@@ -107,6 +107,26 @@ def oracle_grg(query, cand, categorical, dmin, dmax, rho, weights=None):
         weights[j] * oracle_grc(query[j], cand[j], categorical[j], dmin, dmax, rho)
         for j in range(p)
     )
+
+
+def oracle_parzen_conditional_entropy(x, labels, n_classes):
+    """H(Y|X) in bits by the exact Gaussian Parzen sums: Silverman's
+    h = max(1.06 sd n^(-1/5), 1e-6), each point's class masses summed over
+    every point (itself included), the posterior entropy averaged."""
+    n = len(x)
+    mean = sum(x) / n
+    sd = math.sqrt(sum((v - mean) ** 2 for v in x) / (n - 1))
+    h = max(1.06 * sd * n ** (-0.2), 1e-6)
+    total = 0.0
+    for i in range(n):
+        mass = [0.0] * n_classes
+        for j in range(n):
+            mass[labels[j]] += math.exp(-((x[i] - x[j]) ** 2) / (2 * h * h))
+        whole = sum(mass)
+        for c in range(n_classes):
+            if mass[c] > 0:
+                total -= mass[c] / whole * math.log2(mass[c] / whole)
+    return total / n
 
 
 def oracle_select_k(values, labels, fold_ids, grid, categorical, metric, rho=0.5, weights=None):

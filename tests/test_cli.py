@@ -82,6 +82,26 @@ class TestImputeCommand:
         assert main(argv) == 0
         assert (workdir / "a.csv").read_bytes() == first
 
+    @pytest.mark.parametrize("method", ["cgknn", "gknn"])
+    def test_trace_records_the_mi_behind_the_weights(self, workdir, method):
+        argv = [
+            "impute", _p(workdir / "data.csv"), "--schema", _p(workdir / "schema.cfg"),
+            "--method", method, "--k", "1", "--out", _p(workdir / "a.csv"),
+        ]
+        trace_path = workdir / "a.csv.trace.json"
+        assert main(argv) == 0
+        first = trace_path.read_bytes()
+        assert main(argv) == 0
+        assert trace_path.read_bytes() == first
+        trace = json.loads(first)
+        if method == "gknn":
+            assert trace["feature_mi"] is None and trace["feature_weights"] is None
+            return
+        assert [e["estimator"] for e in trace["feature_mi"]] == ["parzen", "parzen", "histogram"]
+        mi = np.array([e["mi_bits"] for e in trace["feature_mi"]])
+        assert (mi >= 0).all() and mi.sum() > 0
+        assert trace["feature_weights"] == pytest.approx(mi / mi.sum(), abs=1e-12)
+
     def test_unknown_method_is_usage_error(self, workdir, capsys):
         code = main([
             "impute", _p(workdir / "data.csv"), "--schema", _p(workdir / "schema.cfg"),

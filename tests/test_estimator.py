@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from greyimpute.engine import Method
 from greyimpute.errors import DataError
 from greyimpute.estimator import GreyKNNImputer, check_matrix
 
@@ -147,3 +150,79 @@ class TestCheckMatrix:
     def test_nan_passes(self):
         out = check_matrix(np.array([[NAN, 1.0]]))
         assert np.isnan(out[0, 0])
+
+
+@st.composite
+def _training_sets(draw):
+    """Small labeled matrices with ties, a constant column, a categorical
+    column, classes that may hold a single row and rows with no observed
+    cell; every column keeps at least one observed cell."""
+    n = draw(st.integers(8, 24))
+    levels = draw(st.integers(1, 3))
+    grid = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0])
+    x = np.column_stack([
+        draw(st.lists(grid, min_size=n, max_size=n)),
+        np.full(n, draw(grid)),
+        draw(st.lists(st.integers(0, levels - 1), min_size=n, max_size=n)),
+    ])
+    # class 0 fills the table, class 1 is given one row or more
+    y = np.zeros(n, dtype=int)
+    y[draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n // 2, unique=True))] = 1
+    holes = np.array(draw(st.lists(st.booleans(), min_size=3 * n, max_size=3 * n)))
+    holes = holes.reshape(n, 3)
+    holes[draw(st.lists(st.integers(1, n - 1), max_size=3, unique=True))] = True
+    holes[0] = False
+    x[holes] = NAN
+    return x, y, levels
+
+
+class TestBoundaryProperties:
+    @given(
+        _training_sets(), st.sampled_from([m.value for m in Method]), st.sampled_from([None, 1, 3])
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_fit_and_transform_complete_every_cell(self, table, method, k):
+        x, y, levels = table
+        est = GreyKNNImputer(method=method, n_neighbors=k, categorical_features=(2,))
+        out = est.fit_transform(x, y)
+        observed = ~np.isnan(x)
+        assert np.isfinite(out).all()
+        assert np.array_equal(out[observed], x[observed])
+        assert set(out[:, 2]) <= set(range(levels))
+        if est.feature_weights_ is not None:
+            assert np.isfinite(est.feature_weights_).all()
+            assert est.feature_weights_.sum() == pytest.approx(1.0)
+        seen = float(np.nanmax(x[:, 2]))
+        new = np.array([[NAN, NAN, NAN], [0.5, NAN, NAN], [NAN, 7.0, seen]])
+        filled = est.transform(new)
+        assert np.isfinite(filled).all()
+        assert np.array_equal(filled[~np.isnan(new)], new[~np.isnan(new)])
+        assert set(filled[:, 2]) <= set(range(levels))
+
+    @given(_training_sets(), st.sampled_from([NAN, np.float32("nan")]), st.booleans())
+    @settings(max_examples=20, deadline=None)
+    def test_nan_label_is_refused_at_fit(self, table, label, as_object):
+        # a NaN label used to escape as a raw KeyError from the level lookup
+        x, y, _ = table
+        y = y.astype(object) if as_object else y.astype(float)
+        y[-1] = label
+        with pytest.raises(DataError, match="NaN"):
+            GreyKNNImputer(n_neighbors=1, categorical_features=(2,)).fit(x, y)
+
+    @given(_training_sets(), st.sampled_from([-1.0, 0.5, -0.5, 1.25]))
+    @settings(max_examples=30, deadline=None)
+    def test_negative_or_fractional_code_is_refused_at_fit(self, table, code):
+        x, y, _ = table
+        x[0, 2] = code
+        with pytest.raises(DataError):
+            GreyKNNImputer(n_neighbors=1, categorical_features=(2,)).fit(x, y)
+
+    @given(_training_sets(), st.sampled_from(["unseen", -1.0, 0.5, 1e9]))
+    @settings(max_examples=30, deadline=None)
+    def test_unseen_negative_or_fractional_code_is_refused_at_transform(self, table, code):
+        x, y, _ = table
+        est = GreyKNNImputer(n_neighbors=1, categorical_features=(2,)).fit(x, y)
+        if code == "unseen":
+            code = np.nanmax(x[:, 2]) + 1.0
+        with pytest.raises(DataError):
+            est.transform(np.array([[0.5, NAN, code]]))

@@ -1,12 +1,14 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from greyimpute import distance, relevance
+from greyimpute import relevance
 from greyimpute.dataset import Dataset, Schema
-from greyimpute.errors import EmptyInputError
+from greyimpute.errors import DataError, EmptyInputError, LengthMismatchError
+from greyimpute.io import SchemaConfig, read_csv
 from greyimpute.relevance import (
     MIEstimate,
     class_weights,
@@ -19,7 +21,10 @@ from greyimpute.relevance import (
 )
 from greyimpute.synth import gen_cubes
 
+from _oracles import oracle_parzen_conditional_entropy
 from conftest import build_dataset
+
+DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
 
 class TestEntropyDiscrete:
@@ -109,16 +114,49 @@ class TestParzenClosedForm:
         assert (gaps[-1] <= 0.07).all(), gaps
 
 
-class TestParzenChunks:
-    @pytest.mark.parametrize("budget", [1, 2_000, 50_000])
-    def test_chunks_agree_with_one_chunk(self, rng, monkeypatch, budget):
-        x = np.round(rng.normal(size=300), 1)
-        y = rng.integers(0, 3, size=300)
-        whole = parzen_conditional_entropy(x, y, 3)
-        monkeypatch.setattr(distance, "BLOCK_BYTES", budget)
-        # every kernel element is computed bit for bit as in one chunk, but
-        # BLAS may sum a short chunk's class masses in another order
-        assert parzen_conditional_entropy(x, y, 3) == pytest.approx(whole, rel=0, abs=1e-12)
+class TestParzenBinning:
+    """The binned class sums against the exact n x n sum of the oracle."""
+
+    # largest gap measured on these inputs: 6.1e-6 bit (iris petal width)
+    BOUND = 1e-5
+
+    @staticmethod
+    def _inputs():
+        rng = np.random.default_rng(11)
+        cube = gen_cubes(2)
+        for j in (0, 1, 2, 3):
+            yield f"cube x{j + 1}", cube.values[:, j], cube.labels, 2
+        config = SchemaConfig.from_text((DATA_DIR / "iris.schema.cfg").read_text())
+        iris = read_csv((DATA_DIR / "iris.csv").read_text(), config)
+        for j in range(iris.p):
+            yield f"iris {j}", iris.values[:, j], iris.labels, 3
+        y = rng.integers(0, 2, size=200)
+        yield "constant", np.full(200, 3.0), y, 2
+        yield "two-valued", rng.integers(0, 2, size=200).astype(float), y, 2
+        outlier = rng.normal(size=200)
+        outlier[17] = 1e6
+        yield "far outlier", outlier, y, 2
+        yield "heavy ties", np.round(rng.normal(size=300), 0), rng.integers(0, 3, size=300), 3
+        yield "single class", rng.normal(size=100), np.zeros(100, dtype=int), 1
+
+    def test_gap_to_exact_sum_is_bounded(self):
+        for name, x, y, m in self._inputs():
+            binned = parzen_conditional_entropy(x, y, m)
+            exact = oracle_parzen_conditional_entropy(x.tolist(), y.tolist(), m)
+            assert abs(binned - exact) <= self.BOUND, (name, binned, exact)
+
+    def test_outlier_grid_stays_small(self):
+        # the grid spans the range in steps of h / 128; an outlier widens h
+        # as much as the range, so this call stays within a few MB
+        x = np.concatenate([np.zeros(3999), [1e12]])
+        y = np.arange(4000) % 2
+        tracemalloc.start()
+        try:
+            parzen_conditional_entropy(x, y, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_class_weights_memory_does_not_grow_with_n_squared(self):
         # the dense n x n kernels peaked near 1.5 GB at 8000 rows
@@ -196,6 +234,33 @@ class TestMutualInformation:
         assert x1 > x2 > x3
         assert mis[:, 3:].mean(axis=0).max() <= 0.05
 
+    @pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf])
+    def test_non_finite_continuous_cell_is_refused(self, rng, cell):
+        # a NaN cell used to come back as MI = H(Y), the largest weight
+        x = rng.normal(size=50)
+        x[7] = cell
+        with pytest.raises(DataError, match="NaN or inf"):
+            mutual_information(x, np.arange(50) % 2, False, 2)
+
+    @pytest.mark.parametrize("code", [0.5, 3.0, -1.0, np.nan])
+    def test_bad_categorical_code_is_refused(self, code):
+        x = np.array([0.0, 1.0, 2.0] * 4)
+        x[5] = code
+        with pytest.raises(DataError, match=r"categorical codes .*\[0, 3\)"):
+            mutual_information(x, np.arange(12) % 2, True, 2, 3)
+
+    @pytest.mark.parametrize("categorical", [True, False])
+    @pytest.mark.parametrize("label", [2, -1, 0.5])
+    def test_bad_label_is_refused(self, categorical, label):
+        y = (np.arange(12) % 2).astype(float)
+        y[3] = label
+        with pytest.raises(DataError, match=r"class labels .*\[0, 2\)"):
+            mutual_information(np.arange(12.0) % 3, y, categorical, 2, 3)
+
+    @pytest.mark.parametrize("categorical", [True, False])
+    def test_length_mismatch_is_refused(self, categorical):
+        with pytest.raises(LengthMismatchError):
+            mutual_information(np.arange(12.0) % 3, np.arange(11) % 2, categorical, 2, 3)
 
 class TestClassWeights:
     def test_normalizes_published_style_values(self):
