@@ -13,7 +13,6 @@ stderr; data only to the declared output files.
 from __future__ import annotations
 
 import argparse
-import csv as _csv
 import hashlib
 import json
 import sys
@@ -25,15 +24,17 @@ import numpy as np
 from . import __version__
 from .dataset import normalize, validate
 from .engine import ImputeConfig, Method, initial_impute, run_impute
-from .errors import DataError
+from .errors import DataError, ParseError
 from .evaluate import REPORT_FIELDS, BenchmarkSpec, benchmark, kfold_cv, rmse
 from .io import (
     SchemaConfig,
+    _parse_rows,
     csv_field,
     csv_line,
     format_json,
     infer_schema,
     read_csv,
+    read_csv_text,
     write_csv,
     write_report,
 )
@@ -79,7 +80,7 @@ def _write_manifest(ns, inputs: list, outputs: list):
 
 
 def _load_dataset(path: str, schema_path: str | None, infer: bool, class_column=None):
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_csv_text(path)
     if schema_path is not None:
         config = SchemaConfig.from_text(Path(schema_path).read_text(encoding="utf-8"))
     elif infer:
@@ -206,11 +207,12 @@ def _write_positions_csv(path, dataset, positions):
 def _read_positions_csv(path, truth):
     """The 0/1 mask of scored cells: the truth's feature names, then one
     row of 0 or 1 cells per truth row."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(_csv.reader(fh))
-    if not rows or rows[0] != [f.name for f in truth.schema.features]:
+    try:
+        header, body = _parse_rows(read_csv_text(path))
+    except ParseError as exc:
+        raise DataError(f"mask {str(path)!r}: {exc}") from None
+    if header != [f.name for f in truth.schema.features]:
         raise DataError("mask header does not match the schema's feature columns")
-    body = rows[1:]
     if len(body) != truth.n or any(len(r) != truth.p or not set(r) <= {"0", "1"} for r in body):
         raise DataError(f"mask must hold {truth.n} rows of {truth.p} cells, each 0 or 1")
     return np.array(body, dtype=str).reshape(truth.n, truth.p) == "1"
@@ -259,10 +261,10 @@ def _spec_from_file(path: str):
         raise DataError(f"unknown spec key(s) {', '.join(map(repr, unknown))} in {path!r}")
     source = raw.get("dataset")
     if isinstance(source, dict):
-        data_text = Path(source["file"]).read_text(encoding="utf-8")
+        if set(source) != {"file", "schema"} or not all(isinstance(v, str) for v in source.values()):
+            raise DataError("spec key 'dataset' must be an object of two paths, 'file' and 'schema'")
         config = SchemaConfig.from_text(Path(source["schema"]).read_text(encoding="utf-8"))
-        dataset = read_csv(data_text, config)
-        source_obj: object = dataset
+        source_obj: object = read_csv(read_csv_text(source["file"]), config)
         extra_inputs = [source["file"], source["schema"]]
     else:
         source_obj = source
@@ -280,11 +282,16 @@ def _spec_from_file(path: str):
         except (TypeError, ValueError):
             raise DataError(f"spec key {key!r} must list {kind.__name__} values") from None
 
+    def integer(value):  # int() would take 1.7, true or "1" and run another seed
+        if type(value) is not int:
+            raise TypeError(value)
+        return value
+
     spec = BenchmarkSpec(
         dataset=source_obj,
         methods=required("methods", str),
         rates=required("rates", float),
-        seeds=required("seeds", int),
+        seeds=required("seeds", integer),
         mechanism=raw.get("mechanism", "mcar"),
         mcar_columns=tupled("mcar_columns", ["x1"]),
         mar_targets=tupled("mar_targets"),
@@ -303,10 +310,10 @@ def _cmd_benchmark(ns) -> int:
     Path(ns.out).write_text(write_report(rows), encoding="utf-8")
     outputs = [ns.out]
     if ns.csv:
-        with open(ns.csv, "w", newline="", encoding="utf-8") as fh:
-            writer = _csv.DictWriter(fh, fieldnames=REPORT_FIELDS, lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(rows)
+        lines = [csv_line(list(REPORT_FIELDS))]
+        lines += [csv_line([csv_field("" if row[f] is None else str(row[f])) for f in REPORT_FIELDS])
+                  for row in rows]
+        Path(ns.csv).write_text("".join(lines), encoding="utf-8")
         outputs.append(ns.csv)
     _write_manifest(ns, [ns.spec] + extra_inputs, outputs)
     return 0
@@ -314,8 +321,8 @@ def _cmd_benchmark(ns) -> int:
 
 def _cmd_eval(ns) -> int:
     config = SchemaConfig.from_text(Path(ns.schema).read_text(encoding="utf-8"))
-    truth = read_csv(Path(ns.truth).read_text(encoding="utf-8"), config)
-    imputed = read_csv(Path(ns.imputed).read_text(encoding="utf-8"), config)
+    truth = read_csv(read_csv_text(ns.truth), config)
+    imputed = read_csv(read_csv_text(ns.imputed), config)
     positions = _read_positions_csv(ns.mask, truth)
     metrics = {"rmse": rmse(truth, imputed, positions), "masked_cells": int(positions.sum())}
     if imputed.labels is not None:
@@ -344,14 +351,15 @@ def _cmd_validate(ns) -> int:
 
 def _cmd_rerun(ns) -> int:
     manifest = _read_json(ns.manifest)
-    if "argv" not in manifest:
+    argv = manifest.get("argv") if isinstance(manifest, dict) else None
+    if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)):
         raise DataError(
-            "manifest holds no argv; it was written by an older greyimpute "
-            "and cannot be replayed"
+            "manifest must be a JSON object whose argv lists strings; one written "
+            "by an older greyimpute holds no argv and cannot be replayed"
         )
     # a relative --out replays against the current directory, so replay
     # only where it names this manifest's outputs again
-    out = build_parser().parse_args(manifest["argv"]).out
+    out = build_parser().parse_args(argv).out
     written = Path(out + ".manifest.json")
     here = Path(ns.manifest).resolve()
     if written.resolve() != here:
@@ -365,7 +373,7 @@ def _cmd_rerun(ns) -> int:
         actual = _sha256(path)
         if actual != digest:
             raise DataError(f"input {path!r} changed since the manifest was written")
-    return main(manifest["argv"])
+    return main(argv)
 
 
 def build_parser() -> _Parser:

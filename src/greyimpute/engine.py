@@ -47,8 +47,6 @@ __all__ = [
     "column_fill",
     "initial_impute",
     "select_k",
-    "impute_numeric_cell",
-    "impute_categorical_cell",
     "run_impute",
     "run_plan",
     "prepare",
@@ -296,58 +294,6 @@ def select_k(
     return min(errors, key=lambda k: (errors[k], k))
 
 
-def impute_numeric_cell(
-    distances: np.ndarray,
-    values: np.ndarray,
-    weighted: bool = True,
-) -> float:
-    """Estimate one continuous cell from its neighbors.
-
-    Weighted form: inverse-square-distance mean. Any zero-distance neighbor
-    short-circuits to the plain mean over exactly the zero-distance ones
-    (the weighted mean's limit). Unweighted form: plain mean of all k.
-    """
-    values = np.asarray(values, dtype=float)
-    if not weighted:
-        return float(values.mean())
-    distances = np.asarray(distances, dtype=float)
-    zero = distances == 0.0
-    if zero.any():
-        return float(values[zero].mean())
-    w = 1.0 / (distances * distances)
-    return float((w * values).sum() / w.sum())
-
-
-def impute_categorical_cell(
-    distances: np.ndarray,
-    values: np.ndarray,
-    n_levels: int,
-    weighted: bool = True,
-) -> int:
-    """Estimate one categorical cell from its neighbors.
-
-    Weighted form: rank weights (d_k - d_l)/(d_k - d_1), all 1 when every
-    distance is equal; the category with the largest weight sum wins.
-    Unweighted form: plain mode. Ties go to the nearest neighbor's category
-    if it is among the tied, else to the lowest level index.
-    """
-    values = np.asarray(values)
-    distances = np.asarray(distances, dtype=float)
-    k = len(values)
-    if weighted and distances[-1] != distances[0]:
-        alpha = (distances[-1] - distances) / (distances[-1] - distances[0])
-    else:
-        alpha = np.ones(k)
-    sums = np.zeros(n_levels)
-    np.add.at(sums, values.astype(int), alpha)
-    best = sums.max()
-    tied = np.nonzero(sums == best)[0]
-    nearest = int(values[0])
-    if nearest in tied:
-        return nearest
-    return int(tied.min())
-
-
 @dataclass
 class RunState:
     """Mutable state threaded through the per-iteration sweeps."""
@@ -483,15 +429,41 @@ def _estimate_row(
 ) -> list[float]:
     """Estimate the cells ``cols`` of one row from the rows ``idx`` of
     ``donors`` (normalized scale), its neighbors ranked nearest first at
-    distances ``dist``."""
+    distances ``dist``.
+
+    Weighted form: a continuous cell takes the inverse-square-distance
+    mean, short-circuited by any zero-distance neighbor to the plain mean
+    over exactly the zero-distance ones (the weighted mean's limit); a
+    categorical cell takes the level with the largest sum of rank weights
+    (d_k - d_l)/(d_k - d_1), all 1 when every distance is equal.
+    Unweighted form: plain mean and plain mode. A categorical tie goes to
+    the nearest neighbor's level if it is among the tied, else to the
+    lowest level index. The weights are worked out once per row.
+    """
+    plain, inverse_square, rank = slice(None), None, None  # plain: the neighbors a mean runs over
+    if weighted:
+        zero = dist == 0.0
+        if zero.any():
+            plain = zero
+        else:
+            inverse_square = 1.0 / (dist * dist)
+            total = inverse_square.sum()
     out = []
     for j in cols:
-        nb_vals = donors[idx, j]
+        vals = donors[idx, j]
         levels = schema.features[j].levels
-        if levels is None:
-            out.append(impute_numeric_cell(dist, nb_vals, weighted))
+        if inverse_square is not None and levels is None:
+            est = (inverse_square * vals).sum() / total
+        elif levels is None:
+            est = vals[plain].mean()
         else:
-            out.append(float(impute_categorical_cell(dist, nb_vals, len(levels), weighted)))
+            if rank is None:
+                spread = dist[-1] - dist[0]
+                rank = (dist[-1] - dist) / spread if weighted and spread else np.ones(len(dist))
+            sums = np.bincount(vals.astype(int), rank, len(levels))
+            tied = sums == sums.max()
+            est = vals[0] if tied[int(vals[0])] else np.argmax(tied)
+        out.append(float(est))
     return out
 
 

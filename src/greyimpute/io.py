@@ -40,6 +40,7 @@ import numpy as np
 __all__ = [
     "SchemaConfig",
     "read_csv",
+    "read_csv_text",
     "write_csv",
     "infer_schema",
     "write_report",
@@ -127,130 +128,128 @@ class SchemaConfig:
         return text
 
 
+def read_csv_text(path) -> str:
+    """The text of the CSV file at ``path``, line endings untranslated, so
+    a quoted carriage return reaches :func:`_parse_rows` as written."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _parse_rows(text: str):
-    reader = csv.reader(_stdio.StringIO(text))
-    rows = list(reader)
+    """The header and the body rows of CSV text, its lines ending in LF,
+    CR LF or CR alike. A header naming a column twice, a row of another
+    width than the header and anything the csv module refuses, such as a
+    field over its size limit, are a :class:`ParseError`."""
+    reader = csv.reader(_stdio.StringIO(text, newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}", row=reader.line_num) from None
     if not rows:
         raise ParseError("CSV has no header row")
     header, body = rows[0], rows[1:]
+    if len(set(header)) != len(header):
+        twice = next(name for i, name in enumerate(header) if name in header[:i])
+        raise ParseError(f"CSV header names column {twice!r} twice", row=1)
     for i, row in enumerate(body, start=2):
         if len(row) != len(header):
-            raise RaggedRowError(
-                f"expected {len(header)} fields, got {len(row)}", row=i
-            )
+            raise RaggedRowError(f"expected {len(header)} fields, got {len(row)}", row=i)
     return header, body
+
+
+def _numbers(name: str, cells, missing) -> np.ndarray:
+    """Column ``name``'s cells as floats, NaN for a missing token; a cell
+    that is not a finite number is a :class:`ParseError` at its row."""
+    out = []
+    for row, cell in enumerate(cells, start=2):
+        if cell in missing:
+            out.append(math.nan)
+            continue
+        try:
+            v = float(cell)
+        except ValueError:
+            raise ParseError(
+                f"cannot parse {cell!r} as a number in column {name!r}", row=row, column=name
+            ) from None
+        if not math.isfinite(v):
+            raise ParseError(f"non-finite value {cell!r} in column {name!r}", row=row, column=name)
+        out.append(v)
+    return np.array(out, dtype=float)
+
+
+def _codes(name: str, cells, missing, levels=None):
+    """Column ``name``'s cells as level indices, NaN for a missing token,
+    and the levels: the declared ``levels``, a cell outside them being an
+    :class:`UnknownLevelError` at its row, or else the cells' values in
+    first-appearance order."""
+    index = {} if levels is None else {lv: i for i, lv in enumerate(levels)}
+    out = []
+    for row, cell in enumerate(cells, start=2):
+        if cell in missing:
+            out.append(math.nan)
+            continue
+        code = index.get(cell)
+        if code is None:
+            if levels is not None:
+                raise UnknownLevelError(
+                    f"value {cell!r} outside declared levels of {name!r}", row=row, column=name
+                )
+            code = index[cell] = len(index)
+        out.append(code)
+    return np.array(out, dtype=float), (tuple(index) if levels is None else levels)
 
 
 def read_csv(text: str, config: SchemaConfig) -> Dataset:
     """Parse CSV text into a dataset under the declared schema.
 
-    Cells equal to a missing token become missing (mask 0); other cells
-    are parsed per the declared column kind. The class column, when
-    declared, is extracted into labels with levels collected in
-    first-appearance order.
+    Cells equal to a missing token become missing (mask 0); a column is
+    parsed by :func:`_numbers` or coded by :func:`_codes` per its declared
+    kind. The class column, when declared, must be fully observed and is
+    coded into labels with levels in first-appearance order.
     """
     header, body = _parse_rows(text)
     positions = {name: i for i, name in enumerate(header)}
-    for name in config.column_names():
+    declared = config.column_names() + ([] if config.class_column is None else [config.class_column])
+    for name in declared:
         if name not in positions:
             raise ParseError(f"declared column {name!r} not in CSV header")
-    if config.class_column is not None and config.class_column not in positions:
-        raise ParseError(f"class column {config.class_column!r} not in CSV header")
-    declared = set(config.column_names()) | (
-        {config.class_column} if config.class_column is not None else set()
-    )
     for name in header:
         if name not in declared:
             raise ParseError(f"CSV column {name!r} is not declared in the schema")
 
     missing = set(config.missing_tokens)
-    n = len(body)
-    p = len(config.columns)
-    values = np.full((n, p), np.nan)
-    mask = np.zeros((n, p), dtype=bool)
-    level_maps: list[dict[str, int] | None] = []
-    fixed: list[bool] = []
-    for name, kind, levels in config.columns:
-        if kind == "categorical":
-            level_maps.append({lv: i for i, lv in enumerate(levels)} if levels else {})
-            fixed.append(levels is not None)
-        else:
-            level_maps.append(None)
-            fixed.append(False)
-
-    for j, (name, kind, _) in enumerate(config.columns):
-        col = positions[name]
-        lm = level_maps[j]
-        for i, row in enumerate(body):
-            cell = row[col]
-            if cell in missing:
-                continue
-            if kind == "continuous":
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"cannot parse {cell!r} as a number in column {name!r}",
-                        row=i + 2,
-                        column=name,
-                    ) from None
-                if not math.isfinite(v):
-                    raise ParseError(
-                        f"non-finite value {cell!r} in column {name!r}",
-                        row=i + 2,
-                        column=name,
-                    )
-                values[i, j] = v
-            else:
-                if cell not in lm:
-                    if fixed[j]:
-                        raise UnknownLevelError(
-                            f"value {cell!r} outside declared levels of {name!r}",
-                            row=i + 2,
-                            column=name,
-                        )
-                    lm[cell] = len(lm)
-                values[i, j] = lm[cell]
-            mask[i, j] = True
-
+    values = np.empty((len(body), len(config.columns)))
     features = []
     for j, (name, kind, levels) in enumerate(config.columns):
-        if kind == "categorical":
-            lm = level_maps[j]
-            ordered = levels if levels else tuple(sorted(lm, key=lm.get))
-            if not ordered:
-                raise ParseError(f"categorical column {name!r} has no observed levels")
-            features.append(Feature(name, tuple(ordered)))
-        else:
+        cells = [row[positions[name]] for row in body]
+        if kind == "continuous":
+            values[:, j] = _numbers(name, cells, missing)
             features.append(Feature(name))
+        else:
+            values[:, j], levels = _codes(name, cells, missing, levels)
+            if not levels:
+                raise ParseError(f"categorical column {name!r} has no observed levels")
+            features.append(Feature(name, levels))
 
     labels = None
     class_levels: tuple[str, ...] = ()
     if config.class_column is not None:
-        col = positions[config.class_column]
-        lm: dict[str, int] = {}
-        labels = np.empty(n, dtype=int)
-        for i, row in enumerate(body):
-            cell = row[col]
-            if cell in missing:
-                raise ParseError(
-                    "class labels must be fully observed", row=i + 2,
-                    column=config.class_column,
-                )
-            if cell not in lm:
-                lm[cell] = len(lm)
-            labels[i] = lm[cell]
-        class_levels = tuple(sorted(lm, key=lm.get))
+        name = config.class_column
+        codes, class_levels = _codes(name, [row[positions[name]] for row in body], missing)
+        if np.isnan(codes).any():
+            row = int(np.argmax(np.isnan(codes))) + 2
+            raise ParseError("class labels must be fully observed", row=row, column=name)
+        labels = codes.astype(int)
 
     schema = Schema(tuple(features), config.class_column, class_levels)
-    return Dataset(schema, values, mask, labels)
+    return Dataset(schema, values, ~np.isnan(values), labels)
 
 
 def csv_field(text: str) -> str:
     """``text`` as one CSV field: quoted, with its quotes doubled, when it
     holds a comma, quote, line feed or carriage return. (The csv module's
-    writer quotes a carriage return only when it ends rows in one, and its
-    reader refuses a bare one.)"""
+    writer quotes a carriage return only when it ends rows in one, and
+    unquoted, a carriage return ends a row.)"""
     if "," in text or '"' in text or "\n" in text or "\r" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
@@ -297,32 +296,22 @@ def infer_schema(
     class_column: str | None = None,
     missing_tokens: tuple[str, ...] = DEFAULT_MISSING_TOKENS,
 ) -> SchemaConfig:
-    """Build a schema config from the data: a column whose every observed
-    cell parses as a finite number is continuous, anything else is
-    categorical with levels in first-appearance order."""
+    """Build a schema config from the data: a column with an observed cell
+    that :func:`read_csv` parses as continuous is continuous, anything
+    else is categorical with levels in first-appearance order."""
     header, body = _parse_rows(text)
     missing = set(missing_tokens)
     columns = []
     for col, name in enumerate(header):
         if name == class_column:
             continue
-        cells = [row[col] for row in body if row[col] not in missing]
-        numeric = True
-        for cell in cells:
-            try:
-                if not math.isfinite(float(cell)):
-                    numeric = False
-                    break
-            except ValueError:
-                numeric = False
-                break
-        if numeric and cells:
-            columns.append((name, "continuous", None))
-        else:
-            seen: dict[str, None] = {}
-            for cell in cells:
-                seen.setdefault(cell)
-            columns.append((name, "categorical", tuple(seen)))
+        cells = [row[col] for row in body]
+        try:
+            numeric = not np.isnan(_numbers(name, cells, missing)).all()
+        except ParseError:
+            numeric = False
+        columns.append((name, "continuous", None) if numeric
+                       else (name, "categorical", _codes(name, cells, missing)[1]))
     return SchemaConfig(tuple(columns), class_column, missing_tokens)
 
 

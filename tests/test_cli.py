@@ -164,6 +164,18 @@ class TestImputeCommand:
         assert code == 0
         assert "class = class" in (workdir / "cc.csv.schema.cfg").read_text()
 
+    def test_quoted_carriage_return_level_kept(self, tmp_path):
+        text = 'x1,color,class\n1.0,"x\ry",a\nNA,"x\ry",a\n2.0,b,b\n3.0,b,b\n'
+        (tmp_path / "cr.csv").write_bytes(text.encode())
+        (tmp_path / "cr.cfg").write_text(
+            "class = class\nfeature x1 = continuous\nfeature color = categorical\n"
+        )
+        assert main([
+            "impute", _p(tmp_path / "cr.csv"), "--schema", _p(tmp_path / "cr.cfg"),
+            "--method", "meanmode", "--out", _p(tmp_path / "o.csv"),
+        ]) == 0
+        assert (tmp_path / "o.csv").read_bytes() == text.replace("NA", "2.0").encode()
+
     def test_unwritable_inferred_schema_fails_before_any_output(self, tmp_path):
         # the space after the comma makes the level " red", which the
         # schema text cannot hold
@@ -361,6 +373,7 @@ class TestBenchmarkCommand:
     @pytest.mark.parametrize("key, value", [
         ("epsilon", 0), ("k", "3"), ("max_iterr", 2), ("rho", 2), ("k_grid", [0]),
         ("folds", 0), ("max_iter", 2.5), ("rates", ["x"]), ("methods", ["sparkle"]),
+        ("seeds", [1.7]), ("seeds", [True]), ("dataset", {"schema": "x.cfg"}),
     ])
     def test_bad_spec_value_is_data_error(self, tmp_path, capsys, key, value):
         (tmp_path / "spec.json").write_text(json.dumps({**BASE_SPEC, key: value}))
@@ -473,6 +486,13 @@ class TestRerun:
         assert "argv" in capsys.readouterr().err
         assert not (tmp_path / "c.csv").exists()
 
+    @pytest.mark.parametrize("manifest", [["argv"], {"argv": "impute"}, {"argv": ["synth", 3]}])
+    def test_manifest_argv_must_list_strings(self, tmp_path, capsys, manifest):
+        (tmp_path / "m.manifest.json").write_text(json.dumps(manifest))
+        assert main(["rerun", _p(tmp_path / "m.manifest.json")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "argv" in err[0]
+
     def test_rerun_from_another_directory_is_refused(self, tmp_path, monkeypatch, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
         a.mkdir()
@@ -505,3 +525,10 @@ class TestValidateCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["violations"] == []
         assert len(payload["missing_rates"]) == 3
+
+    def test_oversized_field_is_data_error(self, workdir, capsys):
+        (workdir / "big.csv").write_text(CSV + "0.5,0.5," + "r" * 200_000 + ",a\n")
+        code = main(["validate", _p(workdir / "big.csv"), "--schema", _p(workdir / "schema.cfg")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "field larger" in err[0]

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greyimpute import distance
+from greyimpute.dataset import Feature, Schema
 from greyimpute.distance import GreyMetric, HeomMetric
 from greyimpute.engine import (
     DEFAULT_K_GRID,
@@ -11,8 +12,6 @@ from greyimpute.engine import (
     ImputeConfig,
     Method,
     MethodPlan,
-    impute_categorical_cell,
-    impute_numeric_cell,
     impute_test,
     initial_impute,
     prepare,
@@ -21,6 +20,7 @@ from greyimpute.engine import (
     select_k,
     sweep,
     _cv_errors,
+    _estimate_row,
     _nearest,
 )
 from greyimpute.errors import (
@@ -279,6 +279,24 @@ class TestNearestNeighbors:
         assert [d for _, d in got] == pytest.approx([d for _, d in expect], abs=1e-12)
 
 
+def impute_numeric_cell(distances, values, weighted=True):
+    """One continuous cell through :func:`_estimate_row`."""
+    return _one_cell(Feature("x"), distances, values, weighted)
+
+
+def impute_categorical_cell(distances, values, n_levels, weighted=True):
+    """One categorical cell through :func:`_estimate_row`."""
+    return _one_cell(Feature("x", tuple(map(str, range(n_levels)))), distances, values, weighted)
+
+
+def _one_cell(feature, distances, values, weighted):
+    donors = np.asarray(values, dtype=float)[:, None]
+    return _estimate_row(
+        donors, np.arange(len(donors)), np.asarray(distances, dtype=float),
+        np.array([0]), Schema((feature,)), weighted,
+    )[0]
+
+
 class TestCellEstimators:
     def test_equal_distances_reduce_to_mean(self):
         assert impute_numeric_cell(
@@ -330,6 +348,18 @@ class TestCellEstimators:
             n_levels=3, weighted=False,
         )
         assert got == 2
+
+    def test_mixed_row_estimates_each_cell_as_alone(self):
+        # one row, a continuous and a categorical gap: the per-row weights
+        # give each cell what it gets on its own
+        schema = Schema((Feature("x"), Feature("c", ("a", "b", "c"))))
+        donors = np.array([[1.0, 2.0], [3.0, 1.0], [5.0, 1.0]])
+        dist = np.array([0.1, 0.2, 0.4])
+        got = _estimate_row(donors, np.arange(3), dist, np.array([0, 1]), schema, True)
+        assert got == [
+            impute_numeric_cell(dist, donors[:, 0]),
+            impute_categorical_cell(dist, donors[:, 1], n_levels=3),
+        ]
 
 
 def _mcar(ds, cols, rate, seed):

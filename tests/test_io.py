@@ -1,6 +1,7 @@
 import csv
 import io as stdio
 import json
+import math
 
 import numpy as np
 import pytest
@@ -95,6 +96,28 @@ class TestReadCsv:
     def test_undeclared_column_rejected(self):
         with pytest.raises(ParseError):
             read_csv("a,b,extra,class\n1,red,zzz,yes\n", TWO_COL)
+
+    @pytest.mark.parametrize("text, twice", [
+        ("a,a,class\n1.0,2.0,yes\n", "a"),
+        ("a,class,class\n1.0,yes,no\n", "class"),
+    ])
+    def test_header_naming_a_column_twice_rejected(self, text, twice):
+        config = SchemaConfig(columns=(("a", "continuous", None),), class_column="class")
+        with pytest.raises(ParseError, match=f"{twice!r} twice"):
+            read_csv(text, config)
+        with pytest.raises(ParseError, match=f"{twice!r} twice"):
+            infer_schema(text, class_column="class")
+
+    @pytest.mark.parametrize("ending", ["\r", "\r\n"])
+    def test_line_endings_read_alike(self, ending):
+        text = 'a,b,class\n1.5,red,yes\nNA,"x\ry",no\n2.5,?,yes\n'
+        other = text.replace("\n", ending)
+        assert read_csv(other, TWO_COL).equals(read_csv(text, TWO_COL))
+        assert infer_schema(other, "class") == infer_schema(text, "class")
+
+    def test_oversized_field_is_parse_error(self):
+        with pytest.raises(ParseError, match="field larger"):
+            read_csv("a,b,class\n1.0," + "x" * 200_000 + ",yes\n", TWO_COL)
 
 
 class TestWriteCsv:
@@ -247,6 +270,47 @@ class TestWriteCsvBytes:
         assert np.array_equal(back.mask, observed)
         assert back.values[observed].tobytes() == dataset.values[observed].tobytes()
         assert write_csv(back, token) == text
+
+
+# text with the characters that CSV and the cell rules give meaning to;
+# half of it under the header of TWO_COL, so cells get parsed too
+_TEXT = st.text(st.one_of(st.sampled_from('ab1.e,"\r\n\x00 ?'), st.characters()), max_size=30)
+_CSV_TEXT = _TEXT | _TEXT.map(lambda t: "a,b,class\n" + t)
+
+
+def _is_finite_float(cell):
+    try:
+        return math.isfinite(float(cell))
+    except ValueError:
+        return False
+
+
+class TestReadBoundary:
+    @given(_CSV_TEXT)
+    @settings(max_examples=500, deadline=None)
+    def test_arbitrary_text_reads_or_raises_data_error(self, text):
+        for parse in (lambda: read_csv(text, TWO_COL), lambda: infer_schema(text, "class")):
+            try:
+                parse()
+            except DataError:
+                pass
+
+    @given(csv_datasets())
+    @settings(max_examples=300, deadline=None)
+    def test_inferred_kind_follows_the_number_rule(self, case):
+        # continuous exactly when a column has an observed cell and every
+        # observed cell is a finite float
+        dataset, config, token = case
+        text = write_csv(dataset, token)
+        header, *rows = csv.reader(stdio.StringIO(text, newline=""))
+        inferred = dict((name, kind) for name, kind, _ in infer_schema(
+            text, config.class_column, (token,)).columns)
+        for col, name in enumerate(header):
+            if name == config.class_column:
+                continue
+            observed = [row[col] for row in rows if row[col] != token]
+            continuous = bool(observed) and all(map(_is_finite_float, observed))
+            assert inferred[name] == ("continuous" if continuous else "categorical")
 
 
 class TestSchemaConfig:
