@@ -34,7 +34,7 @@ from .io import (
     format_json,
     infer_schema,
     read_csv,
-    read_csv_text,
+    read_text,
     write_csv,
     write_report,
 )
@@ -53,14 +53,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    h.update(Path(path).read_bytes())
-    return h.hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _read_json(path: str):
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path!r} is not valid JSON: {exc}") from None
 
@@ -80,9 +78,9 @@ def _write_manifest(ns, inputs: list, outputs: list):
 
 
 def _load_dataset(path: str, schema_path: str | None, infer: bool, class_column=None):
-    text = read_csv_text(path)
+    text = read_text(path)
     if schema_path is not None:
-        config = SchemaConfig.from_text(Path(schema_path).read_text(encoding="utf-8"))
+        config = SchemaConfig.from_text(read_text(schema_path))
     elif infer:
         config = infer_schema(text, class_column=class_column)
     else:
@@ -90,12 +88,9 @@ def _load_dataset(path: str, schema_path: str | None, infer: bool, class_column=
     return read_csv(text, config), config
 
 
-def _method_list():
-    return ", ".join(m.value for m in Method)
-
-
 def _add_impute_options(sub):
-    sub.add_argument("--method", default=ImputeConfig.method.value, help=f"one of: {_method_list()}")
+    methods = ", ".join(m.value for m in Method)
+    sub.add_argument("--method", default=ImputeConfig.method.value, help=f"one of: {methods}")
     sub.add_argument("--k", type=int, default=ImputeConfig.k,
                      help="neighborhood size (default: select by CV)")
     sub.add_argument("--k-grid", type=int, nargs="+", default=list(ImputeConfig.k_grid))
@@ -117,12 +112,8 @@ def _config_from(ns) -> ImputeConfig:
             seed=ns.seed,
         )
     except DataError as exc:
-        raise SystemExit(_usage(str(exc)))
-
-
-def _usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return USAGE_ERROR
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(USAGE_ERROR) from None
 
 
 def _cmd_impute(ns) -> int:
@@ -208,7 +199,7 @@ def _read_positions_csv(path, truth):
     """The 0/1 mask of scored cells: the truth's feature names, then one
     row of 0 or 1 cells per truth row."""
     try:
-        header, body = _parse_rows(read_csv_text(path))
+        header, body = _parse_rows(read_text(path))
     except ParseError as exc:
         raise DataError(f"mask {str(path)!r}: {exc}") from None
     if header != [f.name for f in truth.schema.features]:
@@ -263,8 +254,8 @@ def _spec_from_file(path: str):
     if isinstance(source, dict):
         if set(source) != {"file", "schema"} or not all(isinstance(v, str) for v in source.values()):
             raise DataError("spec key 'dataset' must be an object of two paths, 'file' and 'schema'")
-        config = SchemaConfig.from_text(Path(source["schema"]).read_text(encoding="utf-8"))
-        source_obj: object = read_csv(read_csv_text(source["file"]), config)
+        config = SchemaConfig.from_text(read_text(source["schema"]))
+        source_obj: object = read_csv(read_text(source["file"]), config)
         extra_inputs = [source["file"], source["schema"]]
     else:
         source_obj = source
@@ -320,9 +311,9 @@ def _cmd_benchmark(ns) -> int:
 
 
 def _cmd_eval(ns) -> int:
-    config = SchemaConfig.from_text(Path(ns.schema).read_text(encoding="utf-8"))
-    truth = read_csv(read_csv_text(ns.truth), config)
-    imputed = read_csv(read_csv_text(ns.imputed), config)
+    config = SchemaConfig.from_text(read_text(ns.schema))
+    truth = read_csv(read_text(ns.truth), config)
+    imputed = read_csv(read_text(ns.imputed), config)
     positions = _read_positions_csv(ns.mask, truth)
     metrics = {"rmse": rmse(truth, imputed, positions), "masked_cells": int(positions.sum())}
     if imputed.labels is not None:
@@ -357,9 +348,15 @@ def _cmd_rerun(ns) -> int:
             "manifest must be a JSON object whose argv lists strings; one written "
             "by an older greyimpute holds no argv and cannot be replayed"
         )
+    replayed = build_parser().parse_args(argv)
+    if replayed.command not in ("impute", "synth", "inject", "benchmark"):
+        raise DataError(f"manifest argv replays {replayed.command!r}, which writes no manifest")
+    inputs = manifest.get("inputs", {})
+    if not (isinstance(inputs, dict) and all(isinstance(v, str) for v in inputs.values())):
+        raise DataError("manifest inputs must be a JSON object of path: digest strings")
     # a relative --out replays against the current directory, so replay
     # only where it names this manifest's outputs again
-    out = build_parser().parse_args(argv).out
+    out = replayed.out
     written = Path(out + ".manifest.json")
     here = Path(ns.manifest).resolve()
     if written.resolve() != here:
@@ -369,7 +366,7 @@ def _cmd_rerun(ns) -> int:
             else ""
         )
         raise DataError(f"manifest replays --out {out!r} from another directory{where}")
-    for path, digest in manifest.get("inputs", {}).items():
+    for path, digest in inputs.items():
         actual = _sha256(path)
         if actual != digest:
             raise DataError(f"input {path!r} changed since the manifest was written")
@@ -466,10 +463,7 @@ def main(argv=None) -> int:
         return ns.func(ns)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_ERROR
-    except FileNotFoundError as exc:
+    except (DataError, OSError) as exc:  # OSError: a missing, unreadable or directory path
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

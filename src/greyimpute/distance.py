@@ -30,6 +30,9 @@ nearest, and survivors are scored by the same per-feature code as
 ``distances``, bit for bit.
 
 Missing cells are NaN throughout; candidate rows must be complete.
+``own[i]``, where given, is query i's own row of the candidates (equal to
+it wherever it is observed): it scores +inf, and every other distance is
+the same bits as with that row deleted.
 """
 
 from __future__ import annotations
@@ -53,6 +56,12 @@ def block_rows(width: int, arrays: int) -> int:
     return max(1, BLOCK_BYTES // (8 * max(width, 1) * arrays))
 
 
+def _mark_own(a: np.ndarray, own, value: float) -> None:
+    """Set each query's own candidate (last two axes) in ``a`` to ``value``."""
+    if own is not None:
+        a[..., np.arange(len(own)), own] = value
+
+
 def _gaps(queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """|candidate - query| as a (features x queries x candidates) array,
     NaN where the query cell is missing."""
@@ -72,7 +81,7 @@ class HeomMetric:
         self.categorical = np.asarray(categorical, dtype=bool)
         self.weights = None if weights is None else np.asarray(weights, float)
 
-    def distances(self, queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    def distances(self, queries: np.ndarray, candidates: np.ndarray, own=None) -> np.ndarray:
         d = _gaps(queries, candidates)
         cat = self.categorical
         if cat.any():
@@ -83,16 +92,19 @@ class HeomMetric:
         for j, dj in enumerate(d):  # features left to right
             dj *= dj if self.weights is None else dj * self.weights[j]  # (w * d) * d
             acc += dj
+        _mark_own(acc, own, np.inf)
         return np.sqrt(acc, out=acc)
 
 
-def _bounds(gaps: np.ndarray, categorical: np.ndarray):
+def _bounds(gaps: np.ndarray, categorical: np.ndarray, own=None):
     """Each query's min and max gap over its observed continuous cells, or
     the (0, 1) sentinel when it has none, keeping grey coefficients finite.
-    fmin/fmax skip the NaN rows of missing query cells."""
+    fmin/fmax skip the NaN rows of missing query cells. An own row's gaps,
+    0 where observed, cannot raise dmax; dmin skips them (set to +inf)."""
     cont = ~categorical[:, None]
-    dmin = np.fmin.reduce(gaps.min(axis=2), axis=0, initial=np.nan, where=cont)
     dmax = np.fmax.reduce(gaps.max(axis=2), axis=0, initial=np.nan, where=cont)
+    _mark_own(gaps, own, np.inf)
+    dmin = np.fmin.reduce(gaps.min(axis=2), axis=0, initial=np.nan, where=cont)
     return _sentinel(dmin, dmax)
 
 
@@ -102,16 +114,18 @@ def _sentinel(dmin, dmax):
     return dmin, dmax
 
 
-def _sorted_bounds(queries: np.ndarray, columns: np.ndarray, continuous: np.ndarray):
+def _sorted_bounds(queries: np.ndarray, columns: np.ndarray, continuous: np.ndarray, own=False):
     """:func:`_bounds` of a query block from the continuous candidate
     columns sorted ascending, (continuous features x candidates), without
     the gaps. Rounded subtraction is monotone, so a query cell's smallest
-    gap is to a sorted neighbour of it and its largest to a column end."""
+    gap is to a sorted neighbour of it (one past an ``own`` copy at its
+    search point; past an end, the far end, never nearer) and its largest
+    to a column end."""
     q = queries[:, continuous].T
     near = np.empty_like(q)
     for j, (col, qj) in enumerate(zip(columns, q)):
-        at = np.searchsorted(col, qj).clip(1, len(col) - 1)
-        near[j] = np.minimum(np.abs(col[at - 1] - qj), np.abs(col[at] - qj))
+        at = np.searchsorted(col, qj)
+        near[j] = np.minimum(np.abs(col[at - 1] - qj), np.abs(col[(at + own) % len(col)] - qj))
     far = np.maximum(np.abs(columns[:, :1] - q), np.abs(columns[:, -1:] - q))
     dmin = np.fmin.reduce(near, axis=0, initial=np.nan)
     dmax = np.fmax.reduce(far, axis=0, initial=np.nan)
@@ -169,11 +183,12 @@ class GreyMetric:
             grade += gj
         return grade
 
-    def distances(self, queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    def distances(self, queries: np.ndarray, candidates: np.ndarray, own=None) -> np.ndarray:
         g = _gaps(queries, candidates)
-        dmin, dmax = _bounds(g, self.categorical)
+        dmin, dmax = _bounds(g, self.categorical, own)
         rdmax = (self.rho * dmax)[:, None]
         grade = self._grade(g, np.isnan(queries).T, dmin[:, None], rdmax)
+        _mark_own(grade, own, -np.inf)
         return np.subtract(1.0, grade, out=grade)
 
     def screen(self, candidates: np.ndarray) -> "GreyScreen | None":
@@ -222,17 +237,18 @@ class GreyScreen:
         self.columns = np.sort(self.candidates[:, self.continuous], axis=0).T
         self.slack = light + self.MARGIN * float(metric.weights.sum())
 
-    def nearest(self, queries: np.ndarray, k: int):
-        """(distances, indices) of each query's k nearest candidates,
-        ascending by (distance, index); both (queries x k)."""
+    def nearest(self, queries: np.ndarray, k: int, own=None):
+        """(distances, indices) of each query's k nearest candidates other
+        than its ``own``, ascending by (distance, index); both (queries x k)."""
         metric, heavy = self.metric, self.heavy
-        dmin, dmax = _sorted_bounds(queries, self.columns, self.continuous)
+        dmin, dmax = _sorted_bounds(queries, self.columns, self.continuous, own is not None)
         rdmax = metric.rho * dmax
         qnan = np.isnan(queries).T
         partial = metric._grade(
             _gaps(queries[:, heavy], self.candidates[:, heavy]),
             qnan[heavy], dmin[:, None], rdmax[:, None], heavy,
         )
+        _mark_own(partial, own, -np.inf)
         n = partial.shape[1]
         cut = np.partition(partial, n - k, axis=1)[:, n - k] - self.slack
         qi, ci = np.nonzero(partial >= cut[:, None])

@@ -3,8 +3,8 @@
 A run proceeds: rescale continuous columns onto [0, 1]; pre-fill missing
 cells with column means/modes (within class for the per-class methods);
 derive feature weights where the method calls for them; pick k by
-stratified cross-validation when not given; then sweep repeatedly over the
-incomplete rows, re-ranking neighbors against the previous iterate and
+stratified cross-validation when not given; then sweep over the incomplete
+rows, re-ranking the rows an imputed cell can move (the rest rank once) and
 re-estimating every originally-missing cell, until the largest cell change
 drops below epsilon or the iteration cap is hit.
 
@@ -216,28 +216,33 @@ def _nearest(d: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _ranked_blocks(metric, queries, candidates, k):
-    """(offset, distances, indices) of each query's k nearest candidates,
+def _ranked_blocks(metric, queries, candidates, k, own=None):
+    """(offset, distances, indices) of each query's k nearest candidates
+    other than its ``own`` row, if given (see :mod:`greyimpute.distance`),
     ascending by (distance, index), per block of query rows. A block's
     work arrays stay within :data:`greyimpute.distance.BLOCK_BYTES`.
 
     A weighted grey metric whose weights sit on a few features ranks each
     block through its :class:`~greyimpute.distance.GreyScreen`, which
     scores in full only the candidates a partial grade over the heavy
-    features cannot rule out; the result is the same bits. Otherwise a
-    block is scored in full and ranked by :func:`_nearest`."""
-    screen = metric.screen(candidates) if isinstance(metric, GreyMetric) else None
+    features cannot rule out; the result is the same bits. A lone query is
+    scored in full, which costs less than sorting the candidate columns.
+    Unscreened queries with an ``own`` row (the sweeps') go one per block:
+    pool-sized blocks raised the peak memory of 400-row runs by a seventh."""
+    lone = len(queries) < 2
+    screen = metric.screen(candidates) if isinstance(metric, GreyMetric) and not lone else None
     # the largest work array holds a gap per pair for every (heavy) feature
     width = candidates.shape[1] if screen is None else len(screen.heavy)
-    step = block_rows(len(candidates), width + 4)
+    step = 1 if screen is None and own is not None else block_rows(len(candidates), width + 4)
     for start in range(0, len(queries), step):
         block = queries[start:start + step]
+        mine = None if own is None else own[start:start + step]
         if screen is None:
-            d = metric.distances(block, candidates)
+            d = metric.distances(block, candidates, mine)
             nearest = _nearest(d, k)
-            yield start, np.take_along_axis(d, nearest, axis=1), nearest
+            yield start, d[np.arange(len(d))[:, None], nearest], nearest
         else:
-            yield (start, *screen.nearest(block, k))
+            yield (start, *screen.nearest(block, k, mine))
 
 
 def _cv_errors(values, labels, metric, grid, folds, seed) -> dict[int, int]:
@@ -309,6 +314,7 @@ class RunState:
     incomplete_rows: np.ndarray
     class_rows: dict[int, np.ndarray] | None
     used_pool_fallback: bool = False
+    fixed: dict[int, tuple] | None = None  # see _rank_fixed
 
 
 @dataclass(frozen=True)
@@ -319,9 +325,7 @@ class SweepResult:
 
 def _build_metric(plan: MethodPlan, schema, rho: float, weights):
     cat = schema.categorical_mask
-    if plan.metric == "grey":
-        return GreyMetric(cat, rho, weights)
-    return HeomMetric(cat, weights)
+    return GreyMetric(cat, rho, weights) if plan.metric == "grey" else HeomMetric(cat, weights)
 
 
 def _require_valid(dataset: Dataset) -> None:
@@ -387,9 +391,7 @@ def prepare(
 
     class_rows = None
     if plan.per_class_pool:
-        class_rows = {
-            int(y): np.nonzero(dataset.labels == y)[0] for y in np.unique(dataset.labels)
-        }
+        class_rows = {int(y): np.flatnonzero(dataset.labels == y) for y in np.unique(dataset.labels)}
     return RunState(
         dataset=dataset,
         plan=plan,
@@ -405,18 +407,43 @@ def prepare(
 
 
 def _pool_for(state: RunState, row: int) -> np.ndarray:
+    """The rows, ascending, that ``row`` is ranked against, itself among
+    them: its class, or all rows if the class has fewer than k others."""
     if state.class_rows is not None:
-        rows = state.class_rows[int(state.dataset.labels[row])]
-        pool = rows[rows != row]
-        if len(pool) >= state.k:
+        pool = state.class_rows[int(state.dataset.labels[row])]
+        if len(pool) > state.k:
             return pool
         state.used_pool_fallback = True
-    pool = np.delete(np.arange(state.dataset.n), row)
-    if len(pool) < state.k:
-        raise InsufficientCandidatesError(
-            f"row {row}: {len(pool)} candidates for k={state.k}"
-        )
-    return pool
+    n = state.dataset.n
+    if n <= state.k:
+        raise InsufficientCandidatesError(f"row {row}: {n - 1} candidates for k={state.k}")
+    return np.arange(n)
+
+
+def _rank(state: RunState, pool: np.ndarray, rows: list[int]):
+    """(row, donor rows, distances) of each of ``rows`` against ``pool``."""
+    queries = np.where(state.dataset.mask[rows], state.values[rows], np.nan)
+    own = np.searchsorted(pool, rows)
+    for at, dist, near in _ranked_blocks(state.metric, queries, state.values[pool], state.k, own):
+        for r, d, idx in zip(rows[at:], dist, near):
+            yield r, pool[idx], d
+
+
+def _rank_fixed(state: RunState) -> dict[int, tuple]:
+    """(donor rows, distances) of each fixed row, one whose pool has no gap
+    where the row is observed: the metrics read a candidate only there, and
+    only gaps change, so its ranking holds for the run. One call per pool."""
+    mask, groups = state.dataset.mask, {}
+    for r in map(int, state.incomplete_rows):
+        pool = _pool_for(state, r)
+        # classes are disjoint, so a pool's first row and size name it
+        groups.setdefault((pool[0], len(pool)), (pool, []))[1].append(r)
+    fixed = {}
+    for pool, rows in groups.values():
+        gappy = ~mask[pool].all(axis=0)
+        rows = [r for r in rows if not (mask[r] & gappy).any()]
+        fixed.update((r, ranked) for r, *ranked in _rank(state, pool, rows))
+    return fixed
 
 
 def _estimate_row(
@@ -476,28 +503,27 @@ def sweep(state: RunState) -> SweepResult:
     missing, so those features hit the metrics' missing-cell branches
     instead of anchoring the search on their own current estimates.
 
+    The first sweep ranks the fixed rows once for the run
+    (:func:`_rank_fixed`); every sweep re-ranks the others, row by row.
+
     Updates land in the iterate immediately (fixed ascending row order, so
     runs are deterministic); rows later in the sweep see the refreshed
     estimates of earlier ones, which damps the donor flip-flop cycles a
     hold-everything-then-update schedule falls into on correlated data.
     """
+    if state.fixed is None:
+        state.fixed = _rank_fixed(state)
     schema = state.dataset.schema
     cat = schema.categorical_mask
     neighbors_out: dict[int, np.ndarray] = {}
     max_change = 0.0
-    for r in state.incomplete_rows:
-        r = int(r)
-        pool = _pool_for(state, r)
+    for r in map(int, state.incomplete_rows):
         cols = np.flatnonzero(~state.dataset.mask[r])
-        query = state.values[r].copy()
-        query[cols] = np.nan
-        # a one-row block, never screened: the pool changes every row
-        d = state.metric.distances(query[None, :], state.values[pool])
-        nearest = _nearest(d, state.k)[0]
-        neighbors_out[r] = pool[nearest]
-        est = _estimate_row(
-            state.values, pool[nearest], d[0, nearest], cols, schema, state.plan.weighted_cells
-        )
+        ranked = state.fixed.get(r)
+        if ranked is None:
+            (_, *ranked), = _rank(state, _pool_for(state, r), [r])
+        neighbors_out[r] = ranked[0]
+        est = _estimate_row(state.values, *ranked, cols, schema, state.plan.weighted_cells)
         for j, e in zip(cols, est):
             old = state.values[r, j]
             change = (0.0 if e == old else 1.0) if cat[j] else abs(e - old)

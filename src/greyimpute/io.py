@@ -40,7 +40,7 @@ import numpy as np
 __all__ = [
     "SchemaConfig",
     "read_csv",
-    "read_csv_text",
+    "read_text",
     "write_csv",
     "infer_schema",
     "write_report",
@@ -128,11 +128,15 @@ class SchemaConfig:
         return text
 
 
-def read_csv_text(path) -> str:
-    """The text of the CSV file at ``path``, line endings untranslated, so
-    a quoted carriage return reaches :func:`_parse_rows` as written."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        return fh.read()
+def read_text(path) -> str:
+    """The text of the input file (CSV, schema or JSON) at ``path``, line
+    endings untranslated, so a quoted carriage return reaches
+    :func:`_parse_rows` as written; a file not in UTF-8 is a DataError."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{str(path)!r} is not UTF-8 text: {exc}") from None
 
 
 def _parse_rows(text: str):

@@ -493,6 +493,18 @@ class TestRerun:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "argv" in err[0]
 
+    @pytest.mark.parametrize("manifest, key", [
+        # each escaped as an AttributeError traceback
+        ({"argv": ["synth", "cubes", "--out", "c.csv"], "inputs": [1]}, "inputs"),
+        ({"argv": ["validate", "x.csv"]}, "argv"),
+    ])
+    def test_manifest_is_checked_before_it_is_trusted(self, tmp_path, capsys, manifest, key):
+        (tmp_path / "m.manifest.json").write_text(json.dumps(manifest))
+        assert main(["rerun", _p(tmp_path / "m.manifest.json")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+        assert not (tmp_path / "c.csv").exists()
+
     def test_rerun_from_another_directory_is_refused(self, tmp_path, monkeypatch, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
         a.mkdir()
@@ -532,3 +544,26 @@ class TestValidateCommand:
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "field larger" in err[0]
+
+
+class TestUnreadableInputs:
+    """A file that is not UTF-8 text or a directory given as a file is an
+    ``error:`` line and exit 2 at every read, not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        "validate {bad} --infer-schema",
+        "validate {dir} --infer-schema",
+        "validate {data} --schema {bad}",
+        "impute {data} --schema {dir}",
+        "benchmark {bad} --out {d}/report.json",
+        "rerun {dir}",
+    ])
+    def test_is_data_error(self, workdir, capsys, argv):
+        (workdir / "bad.txt").write_bytes(b"x1,class\n\xff,a\n")
+        (workdir / "sub").mkdir()
+        paths = {"bad": workdir / "bad.txt", "dir": workdir / "sub",
+                 "data": workdir / "data.csv", "d": workdir}
+        assert main(argv.format(**{k: _p(v) for k, v in paths.items()}).split()) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert ("bad.txt" if "{bad}" in argv else "sub") in err[0]

@@ -294,9 +294,9 @@ def screened_case(draw):
 class CountingGrey(GreyMetric):
     calls = 0
 
-    def distances(self, queries, candidates):
+    def distances(self, queries, candidates, own=None):
         self.calls += 1
-        return super().distances(queries, candidates)
+        return super().distances(queries, candidates, own)
 
 
 class TestScreen:
@@ -356,3 +356,89 @@ class TestScreen:
         assert metric.screen(c) is not None
         list(_ranked_blocks(metric, c[:5], c, 3))
         assert metric.calls == 0
+
+
+@st.composite
+def own_case(draw):
+    """A :func:`screened_case` whose queries are candidate rows with holes:
+    query i equals its own row ``own[i]`` wherever it is observed. Another
+    candidate may copy an own row, so the own values repeat."""
+    candidates, queries, cat, weights, rho, k = draw(
+        screened_case().filter(lambda case: len(case[0]) >= 2)
+    )
+    n = len(candidates)
+    own = np.array(draw(st.lists(st.integers(0, n - 1), min_size=len(queries),
+                                 max_size=len(queries))))
+    if draw(st.booleans()):
+        candidates[draw(st.integers(0, n - 1))] = candidates[own[0]]
+    queries = np.where(np.isnan(queries), NAN, candidates[own])
+    return candidates, queries, own, cat, weights, rho, min(k, n - 1)
+
+
+def without(rows, i):
+    return np.delete(rows, i, axis=0)
+
+
+class TestOwnRow:
+    """A query's own row scores +inf, and every other candidate scores and
+    ranks exactly as with that row deleted from the candidate matrix."""
+
+    @given(own_case(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_distances_equal_the_deleted_matrix_bitwise(self, case, weighted):
+        candidates, queries, own, cat, weights, rho, _ = case
+        w = weights if weighted else None
+        for metric in (GreyMetric(cat, rho, w), HeomMetric(cat, w)):
+            d = metric.distances(queries, candidates, own)
+            for i, o in enumerate(own):
+                assert d[i, o] == np.inf
+                alone = metric.distances(queries[i:i + 1], without(candidates, o))
+                assert without(d[i], o).tobytes() == alone[0].tobytes()
+
+    @given(own_case())
+    @settings(max_examples=200, deadline=None)
+    def test_screen_equals_the_deleted_matrix_bitwise(self, case):
+        candidates, queries, own, cat, weights, rho, k = case
+        metric = GreyMetric(cat, rho, weights)
+        dist, nearest = metric.screen(candidates).nearest(queries, k, own)
+        for i, o in enumerate(own):
+            alone_dist, alone = metric.screen(without(candidates, o)).nearest(queries[i:i + 1], k)
+            assert np.array_equal(nearest[i], alone[0] + (alone[0] >= o))
+            assert dist[i].tobytes() == alone_dist[0].tobytes()
+
+    @given(own_case(), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_ranked_blocks_leave_the_own_row_out(self, case, weighted):
+        # screened in blocks, or unscreened one row at a time
+        candidates, queries, own, cat, weights, rho, k = case
+        metric = GreyMetric(cat, rho, weights if weighted else None)
+        d = metric.distances(queries, candidates, own)
+        expected = _nearest(d, k)
+        for start, dist, nearest in _ranked_blocks(metric, queries, candidates, k, own):
+            rows = slice(start, start + len(nearest))
+            assert np.array_equal(nearest, expected[rows])
+            assert dist.tobytes() == np.take_along_axis(d[rows], expected[rows], 1).tobytes()
+            assert not (nearest == own[rows, None]).any()
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bounds_skip_one_copy_of_the_own_value(self, data):
+        # arbitrary doubles and a coarse grid (repeated values), a constant
+        # column, NaN query cells
+        p = data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(2, 20))
+        m = data.draw(st.integers(1, 5))
+        cat = np.array(data.draw(st.lists(st.booleans(), min_size=p, max_size=p)))
+        cell = st.one_of(st.floats(-2.0, 3.0, allow_nan=False), st.sampled_from([0.0, 0.5, 1.0]))
+        c = np.array(data.draw(st.lists(cell, min_size=n * p, max_size=n * p))).reshape(n, p)
+        c[:, data.draw(st.integers(0, p - 1))] = data.draw(cell)
+        own = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)))
+        holes = np.array(data.draw(st.lists(st.booleans(), min_size=m * p, max_size=m * p)))
+        q = np.where(holes.reshape(m, p), NAN, c[own])
+        dmin, dmax = _sorted_bounds(q, np.sort(c[:, ~cat], axis=0).T, ~cat, True)
+        gmin, gmax = _bounds(_gaps(q, c), cat, own)
+        for i, o in enumerate(own):
+            rest = without(c, o)
+            emin, emax = _sorted_bounds(q[i:i + 1], np.sort(rest[:, ~cat], axis=0).T, ~cat)
+            assert dmin[i:i + 1].tobytes() == emin.tobytes() == gmin[i:i + 1].tobytes()
+            assert dmax[i:i + 1].tobytes() == emax.tobytes() == gmax[i:i + 1].tobytes()

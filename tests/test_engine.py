@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greyimpute import distance
-from greyimpute.dataset import Feature, Schema
+from greyimpute.dataset import Dataset, Feature, Schema
 from greyimpute.distance import GreyMetric, HeomMetric
 from greyimpute.engine import (
     DEFAULT_K_GRID,
@@ -410,6 +410,106 @@ class TestWeightsOverride:
         weights = np.r_[0.5, 0.5, np.zeros(21)]
         result = run_plan(ds, ImputeConfig(method="cgknn", k=3), PLANS[Method.CGKNN], weights)
         assert result.weights_used.tolist() == weights.tolist()
+
+
+def reference_sweep(state):
+    """One sweep that re-ranks every incomplete row against its pool with
+    the row deleted, in place; returns each row's neighbors."""
+    ds, k = state.dataset, state.k
+    neighbors = {}
+    for r in map(int, state.incomplete_rows):
+        pool = np.delete(np.arange(ds.n), r)
+        if state.class_rows is not None:
+            rows = state.class_rows[int(ds.labels[r])]
+            if len(rows) - 1 >= k:
+                pool = rows[rows != r]
+        cols = np.flatnonzero(~ds.mask[r])
+        query = state.values[r].copy()
+        query[cols] = NAN
+        d = state.metric.distances(query[None, :], state.values[pool])
+        nearest = _nearest(d, k)[0]
+        neighbors[r] = pool[nearest]
+        state.values[r, cols] = _estimate_row(
+            state.values, pool[nearest], d[0, nearest], cols, ds.schema, state.plan.weighted_cells
+        )
+    return neighbors
+
+
+def with_gaps(ds, holes):
+    values = np.where(holes, NAN, ds.values)
+    return Dataset(ds.schema, values, ~holes, ds.labels)
+
+
+def sweep_table(rng, gaps):
+    """A table and weights (None: the method's own) for :class:`TestManySweeps`.
+
+    ``anywhere``: a :func:`random_mixed_dataset`, sometimes with a row that
+    has no observed cell; most incomplete rows can be moved by a gap.
+    ``one column``: gaps in the first column only, so every incomplete row
+    is fixed. ``screened``: a :func:`screened_table` whose weights engage
+    the grey screen, gaps in x0 and sometimes in x4, so each class pool
+    ranks several fixed rows in one screened block and re-ranks the rest."""
+    if gaps == "anywhere":
+        classes = int(rng.integers(2, 4))
+        ds = random_mixed_dataset(rng, max_n=20, missing_rate=0.2, n_classes=classes)
+        if rng.random() < 0.5 and ds.mask[1:].any(axis=0).all():
+            ds = with_gaps(ds, ~ds.mask | (np.arange(ds.n) == 0)[:, None])
+        return ds, None
+    if gaps == "one column":
+        ds = random_mixed_dataset(rng, max_n=20, missing_rate=0.0, n_classes=2)
+        holes = np.zeros((ds.n, ds.p), dtype=bool)
+        holes[1:, 0] = rng.random(ds.n - 1) < 0.4
+        return with_gaps(ds, holes), None
+    values, labels, cat, weights = screened_table(rng, int(rng.integers(15, 40)))
+    labels[:3] = [0, 1, 2]
+    ds = build_dataset(values, {1: ("a", "b", "c")}, labels)
+    holes = np.zeros(values.shape, dtype=bool)
+    holes[1:, 0] = rng.random(ds.n - 1) < 0.4
+    if rng.random() < 0.5:
+        holes[1:, 4] = rng.random(ds.n - 1) < 0.1
+    return with_gaps(ds, holes), weights
+
+
+class TestManySweeps:
+    """Sweeps rank a fixed row once per run and re-rank the others; five
+    sweeps in a row must equal sweeps that re-rank every row, bit for bit."""
+
+    METHODS = ("iknn", "miknn", "gknn", "fwgknn", "cgknn")
+
+    @pytest.mark.parametrize("gaps", ["anywhere", "one column", "screened"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_each_sweep_equals_reranking_every_row(self, method, gaps):
+        rng = np.random.default_rng(len(gaps) * 100 + self.METHODS.index(method))
+        for trial in range(8):
+            ds, weights = sweep_table(rng, gaps)
+            config = ImputeConfig(method=method, k=int(rng.integers(1, 4)), seed=trial)
+            state = prepare(ds, config, weights_override=weights)
+            reference = prepare(ds, config, weights_override=weights)
+            for _ in range(5):
+                neighbors = sweep(state).neighbors
+                expected = reference_sweep(reference)
+                assert neighbors.keys() == expected.keys()
+                for r, donors in expected.items():
+                    assert np.array_equal(neighbors[r], donors), (method, gaps, trial, r)
+                assert state.values.tobytes() == reference.values.tobytes()
+
+    @pytest.mark.parametrize("two_columns", [False, True])
+    def test_later_sweeps_rank_only_the_moving_rows(self, rng, two_columns):
+        ds = random_mixed_dataset(rng, min_n=12, max_n=20, missing_rate=0.0)
+        holes = np.zeros((ds.n, ds.p), dtype=bool)
+        holes[[1, 4, 7], 0] = True
+        if two_columns:
+            holes[[4, 9], 1] = True
+        ds = with_gaps(ds, holes)
+        state = prepare(ds, ImputeConfig(method="iknn", k=2))
+        sweep(state)
+        calls = []
+        kernel = state.metric.distances
+        state.metric.distances = lambda *args: calls.append(len(args[0])) or kernel(*args)
+        sweep(state)
+        # rows 1 and 7 observe column 1, where rows 4 and 9 have gaps, and
+        # row 9 observes column 0; row 4 observes neither gappy column
+        assert calls == ([1, 1, 1] if two_columns else [])
 
 
 class TestRunImpute:

@@ -217,6 +217,37 @@ class TestBoundaryProperties:
         with pytest.raises(DataError):
             GreyKNNImputer(n_neighbors=1, categorical_features=(2,)).fit(x, y)
 
+    @given(_training_sets())
+    @settings(max_examples=20, deadline=None)
+    def test_categorical_column_with_no_code_seen_is_refused_at_fit(self, table):
+        # fit takes a column's levels from its observed codes
+        x, y, _ = table
+        x[:, 2] = NAN
+        with pytest.raises(DataError, match="categorical column 2"):
+            GreyKNNImputer(n_neighbors=1, categorical_features=(2,)).fit(x, y)
+
+    @given(
+        _training_sets(),
+        st.sampled_from(["iknn", "miknn", "gknn", "fwgknn", "cgknn"]),
+        st.sampled_from([None, 1, 3]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_single_row_class_and_row_with_no_observed_cell(self, table, method, k):
+        # the single-row class falls back to the global pool, and the row
+        # with no observed cell is a fixed row, ranked once per run
+        x, y, levels = table
+        y[:] = 0
+        y[1] = 1
+        x[1, 0] = NAN
+        x[-1] = NAN
+        est = GreyKNNImputer(method=method, n_neighbors=k, categorical_features=(2,))
+        out = est.fit_transform(x, y)
+        observed = ~np.isnan(x)
+        assert np.isfinite(out).all()
+        assert np.array_equal(out[observed], x[observed])
+        assert set(out[:, 2]) <= set(range(levels))
+        assert est.result_.used_pool_fallback == (method in ("gknn", "cgknn"))
+
     @given(_training_sets(), st.sampled_from(["unseen", -1.0, 0.5, 1e9]))
     @settings(max_examples=30, deadline=None)
     def test_unseen_negative_or_fractional_code_is_refused_at_transform(self, table, code):
