@@ -16,7 +16,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from .io import (
     SchemaConfig,
     _parse_rows,
     csv_field,
-    csv_line,
+    csv_table,
     format_json,
     infer_schema,
     read_csv,
@@ -77,15 +77,34 @@ def _write_manifest(ns, inputs: list, outputs: list):
     return path
 
 
-def _load_dataset(path: str, schema_path: str | None, infer: bool, class_column=None):
-    text = read_text(path)
-    if schema_path is not None:
-        config = SchemaConfig.from_text(read_text(schema_path))
-    elif infer:
-        config = infer_schema(text, class_column=class_column)
+def _add_table_options(sub):
+    """The input table options of impute, mi, inject and validate."""
+    sub.add_argument("input")
+    sub.add_argument("--schema", default=None)
+    sub.add_argument("--infer-schema", action="store_true", help="infer the schema from the data")
+    sub.add_argument("--class-column", default=None,
+                     help="class column name when inferring the schema")
+
+
+def _load_table(ns):
+    """(dataset, schema config, files read) of the input table options."""
+    text = read_text(ns.input)
+    if ns.schema is not None:
+        config = SchemaConfig.from_text(read_text(ns.schema))
+    elif ns.infer_schema:
+        config = infer_schema(text, class_column=ns.class_column)
     else:
         raise DataError("either --schema or --infer-schema is required")
-    return read_csv(text, config), config
+    return read_csv(text, config), config, [ns.input] + ([ns.schema] if ns.schema else [])
+
+
+def _emit(payload, out=None):
+    """Write a JSON payload to the file ``out``, or to stdout."""
+    text = format_json(payload) + "\n"
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
 
 
 def _add_impute_options(sub):
@@ -102,15 +121,8 @@ def _add_impute_options(sub):
 
 def _config_from(ns) -> ImputeConfig:
     try:
-        return ImputeConfig(
-            method=ns.method,
-            k=ns.k,
-            k_grid=ns.k_grid,
-            rho=ns.rho,
-            epsilon=ns.epsilon,
-            max_iter=ns.max_iter,
-            seed=ns.seed,
-        )
+        return ImputeConfig(**{f.name: getattr(ns, f.name)
+                               for f in fields(ImputeConfig) if f.name in ns})
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR) from None
@@ -118,7 +130,7 @@ def _config_from(ns) -> ImputeConfig:
 
 def _cmd_impute(ns) -> int:
     impute_config = _config_from(ns)
-    dataset, config = _load_dataset(ns.input, ns.schema, ns.infer_schema, ns.class_column)
+    dataset, config, inputs = _load_table(ns)
     # before any output, so a schema that cannot be written back fails cleanly
     schema_text = config.to_text() if ns.infer_schema else None
     result = run_impute(dataset, impute_config)
@@ -132,11 +144,8 @@ def _cmd_impute(ns) -> int:
         "chosen_k": result.chosen_k,
         "pool_fallback": result.used_pool_fallback,
         "max_change_per_iteration": list(result.trace),
-        "feature_weights": None
-        if result.weights_used is None
-        else list(result.weights_used),
-        "feature_mi": None
-        if result.mi_estimates is None
+        "feature_weights": None if result.weights_used is None else list(result.weights_used),
+        "feature_mi": None if result.mi_estimates is None
         else [{"mi_bits": e.mi, "estimator": e.estimator} for e in result.mi_estimates],
     }
     Path(trace_path).write_text(format_json(trace) + "\n", encoding="utf-8")
@@ -145,34 +154,23 @@ def _cmd_impute(ns) -> int:
         inferred_path = ns.out + ".schema.cfg"
         Path(inferred_path).write_text(schema_text, encoding="utf-8")
         outputs.append(inferred_path)
-    inputs = [ns.input] + ([ns.schema] if ns.schema else [])
     _write_manifest(ns, inputs, outputs)
     return 0
 
 
 def _cmd_mi(ns) -> int:
-    dataset, _ = _load_dataset(ns.input, ns.schema, ns.infer_schema, ns.class_column)
+    dataset = _load_table(ns)[0]
     if dataset.labels is None:
         raise DataError("mi requires a class column in the schema")
     normalized, _ = normalize(dataset)
     filled = initial_impute(normalized, per_class=False)
     weights, estimates = dataset_class_weights(filled)
-    payload = {
+    _emit({
         "features": [
-            {
-                "name": feat.name,
-                "mi_bits": est.mi,
-                "estimator": est.estimator,
-                "weight": float(w),
-            }
+            {"name": feat.name, "mi_bits": est.mi, "estimator": est.estimator, "weight": float(w)}
             for feat, est, w in zip(dataset.schema.features, estimates, weights)
         ]
-    }
-    text = format_json(payload) + "\n"
-    if ns.out:
-        Path(ns.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    }, ns.out)
     return 0
 
 
@@ -188,11 +186,9 @@ def _write_dataset_outputs(ns, dataset, inputs, flipped=None):
 
 
 def _write_positions_csv(path, dataset, positions):
-    lines = [csv_line([csv_field(f.name) for f in dataset.schema.features])]
-    lines += [csv_line(row) for row in np.where(positions, "1", "0").tolist()]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("".join(lines))
-    return path
+    rows = np.where(positions, "1", "0").tolist()
+    Path(path).write_text(csv_table([f.name for f in dataset.schema.features], rows),
+                          encoding="utf-8", newline="")
 
 
 def _read_positions_csv(path, truth):
@@ -218,27 +214,21 @@ def _cmd_synth(ns) -> int:
 
 
 def _cmd_inject(ns) -> int:
-    dataset, _ = _load_dataset(ns.input, ns.schema, ns.infer_schema, ns.class_column)
+    dataset, _, inputs = _load_table(ns)
     if ns.mechanism == "mcar":
         injected = inject_mcar(dataset, ns.columns, ns.rate, ns.seed)
     else:
         idx = [dataset.schema.index_of(c) for c in ns.targets]
         pidx = [dataset.schema.index_of(c) for c in ns.predictors]
         coeffs = tuple(tuple(ns.coeff for _ in pidx) for _ in idx)
-        spec = MarSpec(
-            targets=tuple(idx),
-            predictors=tuple(pidx),
-            coefficients=coeffs,
-            target_rate=ns.rate,
-        )
+        spec = MarSpec(targets=tuple(idx), predictors=tuple(pidx), coefficients=coeffs,
+                       target_rate=ns.rate)
         injected = inject_mar(dataset, spec, ns.seed)
-    flipped = dataset.mask & ~injected.mask
-    inputs = [ns.input] + ([ns.schema] if ns.schema else [])
-    return _write_dataset_outputs(ns, injected, inputs, flipped)
+    return _write_dataset_outputs(ns, injected, inputs, dataset.mask & ~injected.mask)
 
 
 _SPEC_KEYS = {"dataset", "methods", "rates", "seeds", "mechanism", "mcar_columns",
-              "mar_targets", "mar_predictors", "timing"}
+              "mar_targets", "mar_predictors"}
 # passed straight to ImputeConfig, which defaults and checks them
 _SPEC_CONFIG_KEYS = ("k", "k_grid", "rho", "epsilon", "max_iter", "folds")
 
@@ -288,23 +278,19 @@ def _spec_from_file(path: str):
         mar_targets=tupled("mar_targets"),
         mar_predictors=tupled("mar_predictors"),
         config=ImputeConfig(**{key: raw[key] for key in _SPEC_CONFIG_KEYS if key in raw}),
-        timing=bool(raw.get("timing", True)),
     )
     return spec, extra_inputs
 
 
 def _cmd_benchmark(ns) -> int:
     spec, extra_inputs = _spec_from_file(ns.spec)
-    if ns.no_timing:
-        spec = replace(spec, timing=False)
-    rows = benchmark(spec)
+    rows = benchmark(replace(spec, timing=not ns.no_timing))
     Path(ns.out).write_text(write_report(rows), encoding="utf-8")
     outputs = [ns.out]
     if ns.csv:
-        lines = [csv_line(list(REPORT_FIELDS))]
-        lines += [csv_line([csv_field("" if row[f] is None else str(row[f])) for f in REPORT_FIELDS])
-                  for row in rows]
-        Path(ns.csv).write_text("".join(lines), encoding="utf-8")
+        table = csv_table(REPORT_FIELDS, ([csv_field("" if row[f] is None else str(row[f]))
+                                           for f in REPORT_FIELDS] for row in rows))
+        Path(ns.csv).write_text(table, encoding="utf-8")
         outputs.append(ns.csv)
     _write_manifest(ns, [ns.spec] + extra_inputs, outputs)
     return 0
@@ -318,25 +304,19 @@ def _cmd_eval(ns) -> int:
     metrics = {"rmse": rmse(truth, imputed, positions), "masked_cells": int(positions.sum())}
     if imputed.labels is not None:
         metrics["classification_accuracy"] = kfold_cv(imputed, seed=ns.seed)
-    text = format_json(metrics) + "\n"
-    if ns.out:
-        Path(ns.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit(metrics, ns.out)
     return 0
 
 
 def _cmd_validate(ns) -> int:
-    dataset, _ = _load_dataset(ns.input, ns.schema, ns.infer_schema, ns.class_column)
-    report = validate(dataset)
-    payload = {
+    report = validate(_load_table(ns)[0])
+    _emit({
         "violations": [
             {"row": v.row, "column": v.column, "kind": v.kind, "detail": v.detail}
             for v in report.violations
         ],
         "missing_rates": list(report.missing_rates),
-    }
-    sys.stdout.write(format_json(payload) + "\n")
+    })
     return 0
 
 
@@ -378,22 +358,15 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"greyimpute {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sp = subs.add_parser("impute", help="impute a CSV dataset")
-    sp.add_argument("input")
-    sp.add_argument("--schema", default=None)
-    sp.add_argument("--infer-schema", action="store_true",
-                    help="infer the schema and write it next to the output")
-    sp.add_argument("--class-column", default=None,
-                    help="class column name when inferring the schema")
+    sp = subs.add_parser("impute", help="impute a CSV dataset",
+                         description="An inferred schema is written next to the output.")
+    _add_table_options(sp)
     sp.add_argument("--out", default="imputed.csv")
     _add_impute_options(sp)
     sp.set_defaults(func=_cmd_impute)
 
     sp = subs.add_parser("mi", help="per-feature class relevance as JSON")
-    sp.add_argument("input")
-    sp.add_argument("--schema", default=None)
-    sp.add_argument("--infer-schema", action="store_true")
-    sp.add_argument("--class-column", default=None)
+    _add_table_options(sp)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_mi)
 
@@ -405,10 +378,7 @@ def build_parser() -> _Parser:
 
     sp = subs.add_parser("inject", help="inject missingness into a CSV dataset")
     sp.add_argument("mechanism", choices=["mcar", "mar"])
-    sp.add_argument("input")
-    sp.add_argument("--schema", default=None)
-    sp.add_argument("--infer-schema", action="store_true")
-    sp.add_argument("--class-column", default=None)
+    _add_table_options(sp)
     sp.add_argument("--columns", nargs="+", default=["x1"], help="MCAR target columns")
     sp.add_argument("--targets", nargs="+", default=[], help="MAR target columns")
     sp.add_argument("--predictors", nargs="+", default=[], help="MAR predictor columns")
@@ -438,10 +408,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_eval)
 
     sp = subs.add_parser("validate", help="report dataset invariant violations")
-    sp.add_argument("input")
-    sp.add_argument("--schema", default=None)
-    sp.add_argument("--infer-schema", action="store_true")
-    sp.add_argument("--class-column", default=None)
+    _add_table_options(sp)
     sp.set_defaults(func=_cmd_validate)
 
     sp = subs.add_parser("rerun", help="re-execute a run from its manifest")

@@ -3,10 +3,11 @@
 A run proceeds: rescale continuous columns onto [0, 1]; pre-fill missing
 cells with column means/modes (within class for the per-class methods);
 derive feature weights where the method calls for them; pick k by
-stratified cross-validation when not given; then sweep over the incomplete
-rows, re-ranking the rows an imputed cell can move (the rest rank once) and
-re-estimating every originally-missing cell, until the largest cell change
-drops below epsilon or the iteration cap is hit.
+stratified cross-validation when not given; settle each incomplete row's
+candidate pool; then sweep over the incomplete rows, re-ranking the rows
+an imputed cell can move (the rest rank once) and re-estimating every
+originally-missing cell, until the largest cell change drops below epsilon
+or the iteration cap is hit.
 
 Sweeps update the iterate in place over a fixed ascending row order, so a
 run is fully deterministic and later rows benefit from earlier rows'
@@ -36,7 +37,7 @@ from .errors import (
     SchemaMismatchError,
     TooFewRowsError,
 )
-from .folds import effective_fold_count, stratified_fold_ids
+from .folds import stratified_folds
 from .relevance import MIEstimate, dataset_class_weights, feature_feature_weights
 
 __all__ = [
@@ -250,15 +251,12 @@ def _cv_errors(values, labels, metric, grid, folds, seed) -> dict[int, int]:
     than the smallest training fold, read off one ranking per query by
     cumulative class counts; vote ties go to the tied label ranked first."""
     n_classes = int(labels.max()) + 1
-    folds = effective_fold_count(labels, folds)
-    fold_ids = stratified_fold_ids(labels, folds, seed)
-    smallest_train = len(labels) - np.bincount(fold_ids).max()
-    errors = {k: 0 for k in grid if k <= smallest_train}
+    splits = list(stratified_folds(labels, folds, seed))
+    errors = {k: 0 for k in grid if k <= min(len(train) for train, _ in splits)}
     if not errors:
         return errors
     kmax = max(errors)
-    for f in range(folds):
-        train, held = fold_ids != f, fold_ids == f
+    for train, held in splits:
         train_labels, held_labels = labels[train], labels[held]
         for start, _, nearest in _ranked_blocks(metric, values[held], values[train], kmax):
             hits = train_labels[nearest][:, :, None] == np.arange(n_classes)
@@ -301,7 +299,9 @@ def select_k(
 
 @dataclass
 class RunState:
-    """Mutable state threaded through the per-iteration sweeps."""
+    """State threaded through the sweeps. :func:`prepare` settles all but the
+    iterate and ``fixed``, among it each incomplete row's pool
+    (:func:`_pools`) and whether a row fell back from its class."""
 
     dataset: Dataset
     plan: MethodPlan
@@ -312,8 +312,8 @@ class RunState:
     weights: np.ndarray | None
     mi_estimates: tuple[MIEstimate, ...] | None
     incomplete_rows: np.ndarray
-    class_rows: dict[int, np.ndarray] | None
-    used_pool_fallback: bool = False
+    pools: dict[int, np.ndarray]
+    used_pool_fallback: bool
     fixed: dict[int, tuple] | None = None  # see _rank_fixed
 
 
@@ -389,9 +389,7 @@ def prepare(
             initial.values, dataset.labels, metric, config.k_grid, config.folds, config.seed
         )
 
-    class_rows = None
-    if plan.per_class_pool:
-        class_rows = {int(y): np.flatnonzero(dataset.labels == y) for y in np.unique(dataset.labels)}
+    pools, fallback = _pools(dataset, plan.per_class_pool, k, incomplete)
     return RunState(
         dataset=dataset,
         plan=plan,
@@ -402,22 +400,26 @@ def prepare(
         weights=weights,
         mi_estimates=mi_estimates,
         incomplete_rows=incomplete,
-        class_rows=class_rows,
+        pools=pools,
+        used_pool_fallback=fallback,
     )
 
 
-def _pool_for(state: RunState, row: int) -> np.ndarray:
-    """The rows, ascending, that ``row`` is ranked against, itself among
-    them: its class, or all rows if the class has fewer than k others."""
-    if state.class_rows is not None:
-        pool = state.class_rows[int(state.dataset.labels[row])]
-        if len(pool) > state.k:
-            return pool
-        state.used_pool_fallback = True
-    n = state.dataset.n
-    if n <= state.k:
-        raise InsufficientCandidatesError(f"row {row}: {n - 1} candidates for k={state.k}")
-    return np.arange(n)
+def _pools(dataset: Dataset, per_class: bool, k: int, rows) -> tuple[dict, bool]:
+    """The pool of each of ``rows``, the rows, ascending, it is ranked
+    against, itself among them: its class, or every row if the class has
+    fewer than k others; rows with one pool share its array. Also whether
+    a row fell back to every row."""
+    if len(rows) and dataset.n <= k:
+        raise InsufficientCandidatesError(f"{dataset.n - 1} candidates for k={k}")
+    everyone, labels = np.arange(dataset.n), dataset.labels
+    classes = {}
+    if per_class:
+        for y in np.unique(labels[rows]):
+            own = np.flatnonzero(labels == y)
+            classes[int(y)] = own if len(own) > k else everyone
+    pools = {r: classes[int(labels[r])] if per_class else everyone for r in map(int, rows)}
+    return pools, any(pool is everyone for pool in classes.values())
 
 
 def _rank(state: RunState, pool: np.ndarray, rows: list[int]):
@@ -434,10 +436,8 @@ def _rank_fixed(state: RunState) -> dict[int, tuple]:
     where the row is observed: the metrics read a candidate only there, and
     only gaps change, so its ranking holds for the run. One call per pool."""
     mask, groups = state.dataset.mask, {}
-    for r in map(int, state.incomplete_rows):
-        pool = _pool_for(state, r)
-        # classes are disjoint, so a pool's first row and size name it
-        groups.setdefault((pool[0], len(pool)), (pool, []))[1].append(r)
+    for r, pool in state.pools.items():
+        groups.setdefault(id(pool), (pool, []))[1].append(r)
     fixed = {}
     for pool, rows in groups.values():
         gappy = ~mask[pool].all(axis=0)
@@ -504,7 +504,8 @@ def sweep(state: RunState) -> SweepResult:
     instead of anchoring the search on their own current estimates.
 
     The first sweep ranks the fixed rows once for the run
-    (:func:`_rank_fixed`); every sweep re-ranks the others, row by row.
+    (:func:`_rank_fixed`); every sweep re-ranks the others, row by row,
+    each against the pool :func:`prepare` settled for it.
 
     Updates land in the iterate immediately (fixed ascending row order, so
     runs are deterministic); rows later in the sweep see the refreshed
@@ -521,7 +522,7 @@ def sweep(state: RunState) -> SweepResult:
         cols = np.flatnonzero(~state.dataset.mask[r])
         ranked = state.fixed.get(r)
         if ranked is None:
-            (_, *ranked), = _rank(state, _pool_for(state, r), [r])
+            (_, *ranked), = _rank(state, state.pools[r], [r])
         neighbors_out[r] = ranked[0]
         est = _estimate_row(state.values, *ranked, cols, schema, state.plan.weighted_cells)
         for j, e in zip(cols, est):

@@ -6,12 +6,14 @@ composes with pipelines, grid search and ``clone`` without requiring
 scikit-learn itself.
 
 Input is a plain ``(n, p)`` float array with NaN marking missing cells.
-Columns listed in ``categorical_features`` are treated as categorical with
-their observed values as level codes (non-negative integers); everything
-else is continuous. ``fit`` runs the full iterative imputation on the
-training matrix; ``transform`` imputes new rows in a single pass against
-the completed training data, and ``fit_transform`` returns the completed
-training matrix itself.
+Columns listed in ``categorical_features`` are categorical: their cells
+are non-negative integer codes, and the distinct codes seen at ``fit``,
+ascending, are the levels, so a ``transform`` cell holding another code is
+refused; everything else is continuous. ``fit`` runs the full iterative
+imputation on the training matrix; ``transform`` imputes new rows in a
+single pass against the completed training data, and ``fit_transform``
+returns the completed training matrix itself. Imputed categorical cells
+hold codes seen at ``fit``.
 """
 
 from __future__ import annotations
@@ -38,6 +40,27 @@ def check_matrix(X, n_features: int | None = None) -> np.ndarray:
     if n_features is not None and X.shape[1] != n_features:
         raise DataError(f"expected {n_features} features, got {X.shape[1]}")
     return X
+
+
+def _to_levels(X, categories) -> np.ndarray:
+    """X with each categorical code as its index in ``categories``, the
+    codes seen at fit per column; a code not among them is a DataError."""
+    X = X.copy() if categories else X
+    for j, codes in categories.items():
+        seen = ~np.isnan(X[:, j])
+        if not np.isin(X[seen, j], codes).all():
+            raise DataError(f"categorical column {j} holds a code not seen at fit")
+        X[seen, j] = np.searchsorted(codes, X[seen, j])
+    return X
+
+
+def _to_codes(X, completed, categories) -> np.ndarray:
+    """``completed`` with X's observed cells and each level index imputed
+    into a categorical gap of X mapped back to its code."""
+    out = completed.copy()
+    for j, codes in categories.items():
+        out[:, j] = np.where(np.isnan(X[:, j]), codes[completed[:, j].astype(int)], X[:, j])
+    return out
 
 
 class GreyKNNImputer:
@@ -69,6 +92,8 @@ class GreyKNNImputer:
     ----------
     result_ : ImputationResult
         Full diagnostics of the training run.
+    categories_ : dict of int to ndarray
+        Each categorical column's codes seen at fit, ascending: its levels.
     feature_weights_ : ndarray or None
         Feature weights the metric used, when the method has any.
     n_iter_ : int
@@ -118,16 +143,14 @@ class GreyKNNImputer:
         features = []
         for j in range(X.shape[1]):
             if j in cat:
-                col = X[:, j]
-                obs = col[~np.isnan(col)]
+                obs = X[~np.isnan(X[:, j]), j]
                 if obs.size == 0:
                     raise DataError(f"categorical column {j} has no observed values")
                 if (obs < 0).any() or (obs != np.floor(obs)).any():
                     raise DataError(
                         f"categorical column {j} must hold non-negative integer codes"
                     )
-                levels = tuple(str(code) for code in range(int(obs.max()) + 1))
-                features.append(Feature(f"f{j}", levels))
+                features.append(Feature(f"f{j}", tuple(str(int(c)) for c in np.unique(obs))))
             else:
                 features.append(Feature(f"f{j}"))
         labels = None
@@ -146,23 +169,19 @@ class GreyKNNImputer:
         return Schema(tuple(features), class_column, class_levels), labels
 
     def _config(self) -> ImputeConfig:
-        return ImputeConfig(
-            method=self.method,
-            k=self.n_neighbors,
-            k_grid=self.k_grid,
-            rho=self.rho,
-            epsilon=self.epsilon,
-            max_iter=self.max_iter,
-            seed=self.random_state,
-        )
+        return ImputeConfig(method=self.method, k=self.n_neighbors, k_grid=self.k_grid,
+                            rho=self.rho, epsilon=self.epsilon, max_iter=self.max_iter,
+                            seed=self.random_state)
 
     def fit(self, X, y=None):
         """Run the iterative imputation on the training matrix."""
         X = check_matrix(X)
         schema, labels = self._schema_for(X, y)
-        dataset = Dataset(schema, X, ~np.isnan(X), labels)
+        categories = {j: np.array(f.levels, dtype=float)
+                      for j, f in enumerate(schema.features) if f.levels}
+        dataset = Dataset(schema, _to_levels(X, categories), ~np.isnan(X), labels)
         self.result_ = run_impute(dataset, self._config())
-        self.schema_ = schema
+        self.schema_, self.categories_ = schema, categories
         self.n_features_in_ = X.shape[1]
         self.feature_weights_ = self.result_.weights_used
         self.n_iter_ = self.result_.iterations
@@ -175,9 +194,10 @@ class GreyKNNImputer:
         X = check_matrix(X, self.n_features_in_)
         # the test rows carry no labels; only the features must line up
         bare = Schema(self.schema_.features, None, ())
-        test = Dataset(bare, X, ~np.isnan(X), None)
-        return impute_test(self.result_, test, self._config()).values.copy()
+        test = Dataset(bare, _to_levels(X, self.categories_), ~np.isnan(X), None)
+        return _to_codes(X, impute_test(self.result_, test, self._config()).values, self.categories_)
 
     def fit_transform(self, X, y=None):
         """Fit and return the completed training matrix."""
-        return self.fit(X, y).result_.completed.values.copy()
+        completed = self.fit(X, y).result_.completed.values
+        return _to_codes(check_matrix(X), completed, self.categories_)

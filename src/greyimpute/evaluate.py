@@ -30,7 +30,7 @@ from .errors import (
     LengthMismatchError,
     SchemaMismatchError,
 )
-from .folds import effective_fold_count, stratified_fold_ids
+from .folds import stratified_folds
 from .synth import MarSpec, gen_cubes, gen_mvn_mar, inject_mar, inject_mcar
 
 __all__ = [
@@ -122,8 +122,8 @@ def nb_fit(dataset: Dataset) -> NaiveBayesModel:
         if not cat[j]:
             continue
         k = len(dataset.schema.features[j].levels)
-        table = np.zeros((m, k))
-        np.add.at(table, (dataset.labels, dataset.values[:, j].astype(int)), 1.0)
+        codes = dataset.labels * k + dataset.values[:, j].astype(int)
+        table = np.bincount(codes, minlength=m * k).reshape(m, k).astype(float)
         cat_log_lik[j] = np.log((table + 1.0) / (table.sum(axis=1, keepdims=True) + k))
     return NaiveBayesModel(log_prior, mean, var, cat_log_lik, cat, m)
 
@@ -161,16 +161,6 @@ def classification_accuracy(predicted, truth) -> float:
     return float((predicted == truth).mean())
 
 
-def _folds(dataset: Dataset, folds: int, seed: int):
-    """(training rows, held-out rows) of each stratified fold."""
-    if dataset.labels is None:
-        raise DataError("cross-validation needs class labels")
-    folds = effective_fold_count(dataset.labels, folds)
-    fold_ids = stratified_fold_ids(dataset.labels, folds, seed)
-    for f in range(folds):
-        yield np.nonzero(fold_ids != f)[0], np.nonzero(fold_ids == f)[0]
-
-
 def _rows(dataset: Dataset, rows: np.ndarray) -> Dataset:
     return Dataset(dataset.schema, dataset.values[rows], dataset.mask[rows], dataset.labels[rows])
 
@@ -178,7 +168,7 @@ def _rows(dataset: Dataset, rows: np.ndarray) -> Dataset:
 def kfold_cv(dataset: Dataset, folds: int = ImputeConfig.folds, seed: int = 0) -> float:
     """Mean held-out naive-Bayes accuracy over stratified folds."""
     accs = []
-    for train, test in _folds(dataset, folds, seed):
+    for train, test in stratified_folds(dataset.labels, folds, seed):
         pred = nb_predict(nb_fit(_rows(dataset, train)), dataset.values[test])
         accs.append(classification_accuracy(pred, dataset.labels[test]))
     return float(np.mean(accs))
@@ -192,7 +182,7 @@ def no_imputation_cv(
     observed column means/modes (:func:`~greyimpute.engine.column_fill`)
     at predict time."""
     accs = []
-    for train, test in _folds(dataset, folds, seed):
+    for train, test in stratified_folds(dataset.labels, folds, seed):
         model = nb_fit(_rows(dataset, train[dataset.mask[train].all(axis=1)]))
         fill = column_fill(dataset.values[train], dataset.mask[train], dataset.schema)
         if np.isnan(fill).any():

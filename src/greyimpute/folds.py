@@ -1,13 +1,13 @@
-"""Stratified fold assignment shared by k selection and evaluation."""
+"""Stratified folds: the one split that k selection and evaluation share."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from ._rng import make_rng
-from .errors import TooFewRowsError
+from .errors import DataError, TooFewRowsError
 
-__all__ = ["stratified_fold_ids", "effective_fold_count"]
+__all__ = ["stratified_folds", "stratified_fold_ids", "effective_fold_count"]
 
 
 def effective_fold_count(labels: np.ndarray, requested: int) -> int:
@@ -34,3 +34,13 @@ def stratified_fold_ids(labels: np.ndarray, n_folds: int, seed: int) -> np.ndarr
         rng.shuffle(idx)
         fold[idx] = np.arange(len(idx)) % n_folds
     return fold
+
+
+def stratified_folds(labels, requested: int, seed: int):
+    """Each stratified fold's (training rows, held-out rows), ascending, one
+    at a time: :func:`stratified_fold_ids` over :func:`effective_fold_count` folds."""
+    if labels is None:
+        raise DataError("cross-validation needs class labels")
+    n_folds = effective_fold_count(labels, requested)
+    ids = stratified_fold_ids(labels, n_folds, seed)
+    return ((np.flatnonzero(ids != f), np.flatnonzero(ids == f)) for f in range(n_folds))

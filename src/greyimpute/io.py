@@ -259,40 +259,37 @@ def csv_field(text: str) -> str:
     return text
 
 
-def csv_line(fields: list[str]) -> str:
-    """One CSV line of rendered fields; a lone empty field is written as
-    ``""`` so the line does not read back as blank."""
-    return (",".join(fields) if fields != [""] else '""') + "\n"
+def csv_table(header, rows) -> str:
+    """CSV text: a line of the ``header`` names, each quoted by
+    :func:`csv_field`, then a line per row of fields already rendered,
+    taken one row at a time. A lone empty field is written as ``""`` so
+    its line does not read back as blank."""
+    def line(fields):
+        return (",".join(fields) if fields != [""] else '""') + "\n"
+    return line([csv_field(name) for name in header]) + "".join(map(line, rows))
 
 
 def write_csv(dataset: Dataset, missing_token: str | None = None) -> str:
     """Render a dataset as CSV text; features first, class column last.
 
     Missing cells are emitted as ``missing_token`` (default "NA", the
-    first default missing token). Names, levels and the token are quoted
-    once each by :func:`csv_field`; a number never needs quotes."""
+    first default missing token). Levels and the token are quoted once
+    each by :func:`csv_field`; a number never needs quotes."""
     token = csv_field(DEFAULT_MISSING_TOKENS[0] if missing_token is None else missing_token)
     schema = dataset.schema
-    header = [csv_field(f.name) for f in schema.features]
-    if schema.class_column is not None:
-        header.append(csv_field(schema.class_column))
-    buf = _stdio.StringIO()
-    buf.write(csv_line(header))
+    header = [f.name for f in schema.features]
     levels = [None if f.levels is None else [csv_field(lv) for lv in f.levels]
               for f in schema.features]
-    classes = [csv_field(c) for c in schema.class_levels]
-    labels = None if dataset.labels is None else dataset.labels.tolist()
-    for i, (values, mask) in enumerate(zip(dataset.values.tolist(), dataset.mask.tolist())):
-        row = [
-            token if not m or v != v  # v != v: NaN
-            else repr(v) if lv is None
-            else lv[int(v)]
-            for v, m, lv in zip(values, mask, levels)
-        ]
-        if schema.class_column is not None:
-            row.append(classes[labels[i]])
-        buf.write(csv_line(row))
-    return buf.getvalue()
+    if schema.class_column is None:
+        labels = [[]] * dataset.n
+    else:
+        header.append(schema.class_column)
+        classes = [csv_field(c) for c in schema.class_levels]
+        labels = [[classes[y]] for y in dataset.labels.tolist()]
+    rows = ([token if not m or v != v else repr(v) if lv is None else lv[int(v)]  # v != v: NaN
+             for v, m, lv in zip(values, mask, levels)] + label
+            for values, mask, label in zip(dataset.values.tolist(), dataset.mask.tolist(), labels))
+    return csv_table(header, rows)
 
 
 def infer_schema(

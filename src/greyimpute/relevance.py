@@ -130,9 +130,8 @@ def _codes(values, count: float, what: str) -> np.ndarray:
 
 
 def _contingency(x: np.ndarray, y: np.ndarray, kx: int, ky: int) -> np.ndarray:
-    table = np.zeros((kx, ky))
-    np.add.at(table, (x.astype(int), y.astype(int)), 1.0)
-    return table
+    cells = x.astype(int) * ky + y.astype(int)
+    return np.bincount(cells, minlength=kx * ky).reshape(kx, ky).astype(float)
 
 
 def mutual_information(

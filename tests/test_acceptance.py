@@ -8,12 +8,13 @@ depend on are session-scoped so the expensive sweeps run once.
 
 import math
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from greyimpute.dataset import normalize
+from greyimpute.dataset import Dataset, normalize
 from greyimpute.distance import GreyMetric
 from greyimpute.engine import ImputeConfig, prepare, run_impute, sweep
 from greyimpute.evaluate import BenchmarkSpec, benchmark
@@ -314,3 +315,32 @@ def test_criterion_8_complexity_sanity():
                 f"{a}->{b} measured {measured:.2f}x exceeds 2x the n^2 log n prediction {predicted:.2f}x"
             )
     _verdict("C8 complexity sanity", failures, "; ".join(details))
+
+
+def test_impute_memory_grows_at_most_linearly():
+    """Beside C8, not a criterion of its own: the tracemalloc peak of a
+    cgknn run with k chosen, on 1000, 2000 and 4000 stacked cube rows with
+    10% MCAR in x1. Doubling n may at most double the peak, plus 8 MB of
+    slack; a single n x n float64 array (128 MB at 4000 rows) fails it."""
+    cubes = [gen_cubes(seed) for seed in range(1, 11)]
+    stacked = Dataset(
+        cubes[0].schema,
+        np.vstack([c.values for c in cubes]),
+        np.vstack([c.mask for c in cubes]),
+        np.concatenate([c.labels for c in cubes]),
+    )
+
+    def peak_mb(n):
+        head = Dataset(stacked.schema, stacked.values[:n], stacked.mask[:n], stacked.labels[:n])
+        ds = inject_mcar(head, ["x1"], 0.1, 1)
+        tracemalloc.start()
+        try:
+            run_impute(ds, ImputeConfig(method="cgknn"))
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    peaks = {n: peak_mb(n) for n in (1000, 2000, 4000)}
+    print("memory peaks (MB): " + ", ".join(f"{n}: {mb:.1f}" for n, mb in peaks.items()))
+    for a, b in ((1000, 2000), (2000, 4000)):
+        assert peaks[b] <= 2.0 * peaks[a] + 8.0, peaks

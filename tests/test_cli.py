@@ -338,14 +338,13 @@ class TestBenchmarkCommand:
             "seeds": [1],
             "mechanism": "mcar",
             "mcar_columns": ["x1"],
-            "timing": False,
         }
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))
         out = tmp_path / "report.json"
         csv_out = tmp_path / "report.csv"
         code = main([
-            "benchmark", _p(spec_path), "--out", _p(out), "--csv", _p(csv_out),
+            "benchmark", _p(spec_path), "--out", _p(out), "--csv", _p(csv_out), "--no-timing",
         ])
         assert code == 0
         report = json.loads(out.read_text())
@@ -374,6 +373,7 @@ class TestBenchmarkCommand:
         ("epsilon", 0), ("k", "3"), ("max_iterr", 2), ("rho", 2), ("k_grid", [0]),
         ("folds", 0), ("max_iter", 2.5), ("rates", ["x"]), ("methods", ["sparkle"]),
         ("seeds", [1.7]), ("seeds", [True]), ("dataset", {"schema": "x.cfg"}),
+        ("timing", False),
     ])
     def test_bad_spec_value_is_data_error(self, tmp_path, capsys, key, value):
         (tmp_path / "spec.json").write_text(json.dumps({**BASE_SPEC, key: value}))
@@ -411,6 +411,20 @@ class TestBenchmarkCommand:
                 "cubes", ("cgknn",), (0.1,), (1,), mcar_columns=("x1", "nope")
             ))
         assert ran == []
+
+
+@pytest.mark.parametrize("head, tail", [
+    (["impute"], []),
+    (["mi"], []),
+    (["inject", "mcar"], ["--rate", "0.1", "--out", "o.csv"]),
+    (["validate"], []),
+])
+def test_table_subcommands_accept_the_same_table_options(head, tail):
+    table = ["d.csv", "--schema", "s.cfg", "--infer-schema", "--class-column", "c"]
+    ns = build_parser().parse_args(head + table + tail)
+    assert (ns.input, ns.schema, ns.infer_schema, ns.class_column) == ("d.csv", "s.cfg", True, "c")
+    ns = build_parser().parse_args(head + ["d.csv"] + tail)
+    assert (ns.input, ns.schema, ns.infer_schema, ns.class_column) == ("d.csv", None, False, None)
 
 
 def test_run_parameter_defaults_agree(tmp_path):

@@ -419,8 +419,8 @@ def reference_sweep(state):
     neighbors = {}
     for r in map(int, state.incomplete_rows):
         pool = np.delete(np.arange(ds.n), r)
-        if state.class_rows is not None:
-            rows = state.class_rows[int(ds.labels[r])]
+        if state.plan.per_class_pool:
+            rows = np.flatnonzero(ds.labels == ds.labels[r])
             if len(rows) - 1 >= k:
                 pool = rows[rows != r]
         cols = np.flatnonzero(~ds.mask[r])
@@ -468,6 +468,37 @@ def sweep_table(rng, gaps):
     if rng.random() < 0.5:
         holes[1:, 4] = rng.random(ds.n - 1) < 0.1
     return with_gaps(ds, holes), weights
+
+
+class TestPools:
+    """``prepare`` settles each incomplete row's pool once for the run."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_pools_fallback_and_too_few_rows_follow_the_rule(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        classes = data.draw(st.integers(1, 3))
+        ds = random_mixed_dataset(rng, min_n=3, max_n=9, n_classes=classes)
+        k = data.draw(st.integers(1, 4))
+        method = data.draw(st.sampled_from(["iknn", "miknn", "gknn", "fwgknn", "cgknn"]))
+        config = ImputeConfig(method=method, k=k)
+        incomplete = np.flatnonzero(~ds.mask.all(axis=1))
+        if len(incomplete) and ds.n <= k:
+            with pytest.raises(InsufficientCandidatesError):
+                prepare(ds, config)
+            return
+        state = prepare(ds, config)
+        assert sorted(state.pools) == incomplete.tolist()
+        # reference: the row's class when it holds more than k rows, else every row
+        fallback = False
+        for r in incomplete:
+            pool = np.arange(ds.n)
+            if PLANS[Method(method)].per_class_pool:
+                own = np.flatnonzero(ds.labels == ds.labels[r])
+                fallback |= len(own) <= k
+                pool = own if len(own) > k else pool
+            assert state.pools[int(r)].tolist() == pool.tolist()
+        assert state.used_pool_fallback == fallback
 
 
 class TestManySweeps:

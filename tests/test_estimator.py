@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,6 +109,13 @@ class TestFitTransform:
         new = np.array([[0.1, NAN, code]])
         with pytest.raises(DataError):
             est.transform(new)
+
+    def test_code_between_seen_codes_is_refused_at_transform(self, rng):
+        _, holed, y = _toy(rng)
+        holed[:, 2] = np.where(holed[:, 2] == 1.0, 2.0, holed[:, 2])  # codes 0 and 2
+        est = GreyKNNImputer(n_neighbors=1, categorical_features=(2,)).fit(holed, y)
+        with pytest.raises(DataError, match="not seen at fit"):
+            est.transform(np.array([[0.1, NAN, 1.0]]))
 
     def test_meanmode_transform_fills_with_training_mean_and_mode(self, rng):
         x, holed, y = _toy(rng)
@@ -257,3 +266,42 @@ class TestBoundaryProperties:
             code = np.nanmax(x[:, 2]) + 1.0
         with pytest.raises(DataError):
             est.transform(np.array([[0.5, NAN, code]]))
+
+    @given(_training_sets(), st.sampled_from([m.value for m in Method]), st.sampled_from([None, 1]))
+    @settings(max_examples=30, deadline=None)
+    def test_sparse_codes_make_one_level_each(self, table, method, k):
+        # the levels are the codes seen at fit, not every integer up to the largest
+        x, y, _ = table
+        x[:, 2] = np.where(x[:, 2] > 0, 1e9, x[:, 2])
+        new = np.array([[NAN, NAN, NAN], [0.5, NAN, np.nanmax(x[:, 2])]])
+        est = GreyKNNImputer(method=method, n_neighbors=k, categorical_features=(2,))
+        tracemalloc.start()
+        try:
+            out = np.vstack([est.fit_transform(x, y), est.transform(new)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert set(out[:, 2]) <= set(x[~np.isnan(x[:, 2]), 2])
+
+    @given(_training_sets(), st.sampled_from([m.value for m in Method]), st.sampled_from([None, 1, 3]))
+    @settings(max_examples=40, deadline=None)
+    def test_monotone_relabelling_relabels_the_output(self, table, method, k):
+        x, y, _ = table
+        relabelled = x.copy()
+        relabelled[:, 2] = 10.0 * x[:, 2] + 3.0
+        new = np.array([[NAN, NAN, NAN], [0.5, NAN, np.nanmax(x[:, 2])], [NAN, 1.0, NAN]])
+        new_relabelled = new.copy()
+        new_relabelled[:, 2] = 10.0 * new[:, 2] + 3.0
+        outs = []
+        for table_x, table_new in ((x, new), (relabelled, new_relabelled)):
+            est = GreyKNNImputer(method=method, n_neighbors=k, categorical_features=(2,))
+            outs.append((est.fit_transform(table_x, y), est.transform(table_new), est))
+        for a, b in zip(outs[0][:2], outs[1][:2]):
+            assert a[:, :2].tobytes() == b[:, :2].tobytes()
+            assert (10.0 * a[:, 2] + 3.0).tolist() == b[:, 2].tolist()
+        plain, relabel = outs[0][2], outs[1][2]
+        assert plain.result_.chosen_k == relabel.result_.chosen_k
+        assert plain.result_.trace == relabel.result_.trace
+        if plain.feature_weights_ is not None:
+            assert plain.feature_weights_.tobytes() == relabel.feature_weights_.tobytes()

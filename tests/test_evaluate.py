@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greyimpute.engine import ImputeConfig
 from greyimpute.errors import (
@@ -19,7 +21,7 @@ from greyimpute.evaluate import (
     no_imputation_cv,
     rmse,
 )
-from greyimpute.folds import stratified_fold_ids
+from greyimpute.folds import effective_fold_count, stratified_fold_ids, stratified_folds
 
 from conftest import build_dataset
 
@@ -165,6 +167,27 @@ class TestKfold:
         for f in range(4):
             fold_labels = labels[ids == f]
             assert np.bincount(fold_labels).tolist() == [5, 5]
+
+    @given(
+        st.lists(st.integers(0, 3), min_size=2, max_size=40),
+        st.integers(2, 12),
+        st.integers(0, 99),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_splits_partition_the_rows_as_the_fold_ids_group_them(self, labels, requested, seed):
+        labels = np.array(labels)
+        ids = stratified_fold_ids(labels, effective_fold_count(labels, requested), seed)
+        splits = list(stratified_folds(labels, requested, seed))
+        assert len(splits) == effective_fold_count(labels, requested)
+        for f, (train, held) in enumerate(splits):
+            assert held.tolist() == np.flatnonzero(ids == f).tolist()
+            assert train.tolist() == np.flatnonzero(ids != f).tolist()
+        held = np.concatenate([held for _, held in splits])
+        assert sorted(held.tolist()) == list(range(len(labels)))
+
+    def test_splits_need_labels(self):
+        with pytest.raises(DataError, match="class labels"):
+            stratified_folds(None, 5, 0)
 
     def test_fold_count_reduced_for_small_classes(self, rng):
         x = rng.normal(size=(12, 1))
