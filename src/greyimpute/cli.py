@@ -227,10 +227,11 @@ def _cmd_inject(ns) -> int:
     return _write_dataset_outputs(ns, injected, inputs, dataset.mask & ~injected.mask)
 
 
-_SPEC_KEYS = {"dataset", "methods", "rates", "seeds", "mechanism", "mcar_columns",
-              "mar_targets", "mar_predictors"}
+# passed to BenchmarkSpec only when the file holds them; it defaults them
+_SPEC_MECHANISM_KEYS = ("mechanism", "mcar_columns", "mar_targets", "mar_predictors")
+_SPEC_KEYS = {"dataset", "methods", "rates", "seeds", *_SPEC_MECHANISM_KEYS}
 # passed straight to ImputeConfig, which defaults and checks them
-_SPEC_CONFIG_KEYS = ("k", "k_grid", "rho", "epsilon", "max_iter", "folds")
+_SPEC_CONFIG_KEYS = tuple(f.name for f in fields(ImputeConfig) if f.name not in ("method", "seed"))
 
 
 def _spec_from_file(path: str):
@@ -251,10 +252,6 @@ def _spec_from_file(path: str):
         source_obj = source
         extra_inputs = []
 
-    def tupled(key, default=None):
-        value = raw.get(key, default)
-        return None if value is None else tuple(value)
-
     def required(key, kind):
         if key not in raw:
             raise DataError(f"spec {path!r} lacks the key {key!r}")
@@ -268,16 +265,14 @@ def _spec_from_file(path: str):
             raise TypeError(value)
         return value
 
+    mechanism = {key: raw[key] for key in _SPEC_MECHANISM_KEYS if key in raw}
     spec = BenchmarkSpec(
         dataset=source_obj,
         methods=required("methods", str),
         rates=required("rates", float),
         seeds=required("seeds", integer),
-        mechanism=raw.get("mechanism", "mcar"),
-        mcar_columns=tupled("mcar_columns", ["x1"]),
-        mar_targets=tupled("mar_targets"),
-        mar_predictors=tupled("mar_predictors"),
         config=ImputeConfig(**{key: raw[key] for key in _SPEC_CONFIG_KEYS if key in raw}),
+        **mechanism,
     )
     return spec, extra_inputs
 

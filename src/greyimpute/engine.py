@@ -89,8 +89,6 @@ PLANS = {
     Method.CGKNN: MethodPlan(True, "grey", "class_mi", True),
 }
 
-_NEEDS_LABELS = {Method.MIKNN, Method.GKNN, Method.FWGKNN, Method.CGKNN}
-
 
 def _positive_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
@@ -145,12 +143,13 @@ class ImputeConfig:
 
 @dataclass(frozen=True)
 class ImputationResult:
-    """A completed dataset plus the run's diagnostics.
+    """A completed dataset plus the run's diagnostics: the fitted model.
 
     ``trace`` holds the largest absolute cell change (normalized scale;
     categorical changes count as 1) per iteration. ``mi_estimates`` holds the
     class MI behind class-MI weights, per feature. ``converged`` is False
     when the iteration cap stopped the run instead of the tolerance.
+    ``plan``, ``metric`` and ``chosen_k`` are the rule :func:`impute_test` applies.
     """
 
     completed: Dataset
@@ -162,6 +161,8 @@ class ImputationResult:
     converged: bool
     used_pool_fallback: bool
     ranges: RangeTable
+    plan: MethodPlan
+    metric: object
 
 
 def column_fill(values: np.ndarray, mask: np.ndarray, schema) -> np.ndarray:
@@ -356,10 +357,13 @@ def prepare(
 ) -> RunState:
     """Normalize, pre-fill, weigh and pick k; returns the ready-to-sweep
     state. ``plan``/``weights_override`` exist so variant combinations can
-    be exercised directly; normal callers go through :func:`run_impute`."""
+    be exercised directly; normal callers go through :func:`run_impute`.
+    Labels are required exactly when read: by per-class pools, class-MI
+    weights and k selection, which runs without a given k on any table."""
     _require_valid(dataset)
     plan = PLANS[config.method] if plan is None else plan
-    if config.method in _NEEDS_LABELS and dataset.labels is None:
+    class_mi = plan.weight_source == "class_mi" and weights_override is None
+    if dataset.labels is None and (plan.per_class_pool or class_mi):
         raise DataError(f"method {config.method.value} requires class labels")
 
     normalized, ranges = normalize(dataset)
@@ -380,11 +384,9 @@ def prepare(
         k = 0
     elif config.k is not None:
         k = config.k
-    elif len(incomplete) == 0:
-        k = 0
+    elif dataset.labels is None:
+        raise DataError("automatic k selection requires class labels")
     else:
-        if dataset.labels is None:
-            raise DataError("automatic k selection requires class labels")
         k = select_k(
             initial.values, dataset.labels, metric, config.k_grid, config.folds, config.seed
         )
@@ -551,6 +553,8 @@ def _compose_result(state: RunState, trace: list[float], converged: bool) -> Imp
         converged=converged,
         used_pool_fallback=state.used_pool_fallback,
         ranges=state.ranges,
+        plan=state.plan,
+        metric=state.metric,
     )
 
 
@@ -580,11 +584,9 @@ def run_impute(dataset: Dataset, config: ImputeConfig) -> ImputationResult:
     return run_plan(dataset, config, PLANS[config.method])
 
 
-def impute_test(
-    result: ImputationResult, test: Dataset, config: ImputeConfig
-) -> Dataset:
+def impute_test(result: ImputationResult, test: Dataset) -> Dataset:
     """Impute an unlabeled test set in one pass against the completed
-    training matrix.
+    training matrix, by the plan, metric and k its run fixed in ``result``.
 
     Neighbors are ranked over all training rows (the class is unknown at
     test time) with the training feature weights; there is no iteration.
@@ -601,24 +603,21 @@ def impute_test(
     if test.n == 0:
         return test
     _require_valid(test)
-    plan = PLANS[config.method]
-    ranges = result.ranges
+    ranges, k = result.ranges, result.chosen_k
     train_vals = ranges.to_unit(train.values)
     test_vals = ranges.to_unit(np.where(test.mask, test.values, np.nan))
-    if not plan.iterative:
+    if not result.plan.iterative:
         test_vals = np.where(test.mask, test_vals, column_fill(train_vals, train.mask, train.schema))
     else:
-        metric = _build_metric(plan, test.schema, config.rho, result.weights_used)
-        k = result.chosen_k if result.chosen_k >= 1 else 1
         if train.n < k:
             raise InsufficientCandidatesError(f"{train.n} training rows for k={k}")
         rows = np.nonzero(~test.mask.all(axis=1))[0]
         # each row's estimate writes only that row, so a block's queries
         # may all be read before any of them is filled
-        for start, dist, nearest in _ranked_blocks(metric, test_vals[rows], train_vals, k):
+        for start, dist, nearest in _ranked_blocks(result.metric, test_vals[rows], train_vals, k):
             for r, dr, order in zip(rows[start:], dist, nearest):
                 gaps = np.nonzero(~test.mask[r])[0]
                 test_vals[r, gaps] = _estimate_row(
-                    train_vals, order, dr, gaps, test.schema, plan.weighted_cells
+                    train_vals, order, dr, gaps, test.schema, result.plan.weighted_cells
                 )
     return _completed(test, ranges, test_vals)

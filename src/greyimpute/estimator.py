@@ -72,7 +72,8 @@ class GreyKNNImputer:
         One of "meanmode", "iknn", "miknn", "gknn", "fwgknn", "cgknn".
     n_neighbors : int or None, default=None
         Neighborhood size; None selects it from ``k_grid`` by stratified
-        cross-validation (requires ``y`` at fit time).
+        cross-validation, also when ``X`` has no gaps. Selection needs ``y``
+        at fit time; with a given k, "iknn" and "fwgknn" fit without it.
     k_grid : tuple of int, default=DEFAULT_K_GRID
         Candidate neighborhood sizes for the selection.
     rho : float, default=ImputeConfig.rho
@@ -86,7 +87,8 @@ class GreyKNNImputer:
     random_state : int, default=0
         Seed for fold assignment.
 
-    A bad parameter value raises :class:`DataError` at ``fit``.
+    A bad parameter value raises :class:`DataError` at ``fit``, which fixes
+    the rule ``transform`` applies, so ``set_params`` acts at the next ``fit``.
 
     Attributes
     ----------
@@ -188,14 +190,14 @@ class GreyKNNImputer:
         return self
 
     def transform(self, X):
-        """Impute rows in one pass against the completed training matrix."""
+        """Impute rows in one pass by the rule fixed at ``fit``."""
         if not hasattr(self, "result_"):
             raise DataError("GreyKNNImputer is not fitted yet; call fit first")
         X = check_matrix(X, self.n_features_in_)
         # the test rows carry no labels; only the features must line up
         bare = Schema(self.schema_.features, None, ())
         test = Dataset(bare, _to_levels(X, self.categories_), ~np.isnan(X), None)
-        return _to_codes(X, impute_test(self.result_, test, self._config()).values, self.categories_)
+        return _to_codes(X, impute_test(self.result_, test).values, self.categories_)
 
     def fit_transform(self, X, y=None):
         """Fit and return the completed training matrix."""

@@ -250,7 +250,7 @@ def _inject(spec: BenchmarkSpec, truth: Dataset, default_mar, rate: float, seed:
             target_rate=rate,
         )
     elif default_mar is not None:
-        mar = replace(default_mar, target_rate=rate, intercepts=None)
+        mar = replace(default_mar, target_rate=rate)
     else:
         raise DataError("MAR mechanism needs targets/predictors")
     return inject_mar(truth, mar, inj_seed)

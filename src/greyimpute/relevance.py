@@ -164,17 +164,17 @@ def mutual_information(
     return MIEstimate(max(0.0, h_y - h_y_given_x), kind)
 
 
-def class_weights(estimates: list[MIEstimate]) -> np.ndarray:
-    """Simplex-normalized feature weights from per-feature MI.
-
-    An all-zero MI vector falls back to uniform weights so weighted
-    distances degrade gracefully to unweighted ones.
-    """
-    mi = np.array([e.mi for e in estimates], dtype=float)
-    total = mi.sum()
+def _simplex(scores: np.ndarray) -> np.ndarray:
+    """``scores`` over their total, or uniform weights when it is 0."""
+    total = scores.sum()
     if total <= 0.0:
-        return np.full(len(mi), 1.0 / len(mi))
-    return mi / total
+        return np.full(len(scores), 1.0 / len(scores))
+    return scores / total
+
+
+def class_weights(estimates: list[MIEstimate]) -> np.ndarray:
+    """Simplex-normalized feature weights from per-feature MI."""
+    return _simplex(np.array([e.mi for e in estimates], dtype=float))
 
 
 def dataset_class_weights(dataset: Dataset) -> tuple[np.ndarray, tuple[MIEstimate, ...]]:
@@ -210,8 +210,6 @@ def feature_feature_weights(
     cut into equal-frequency bins); scores are simplex-normalized.
     """
     p = dataset.p
-    if p == 1:
-        return np.ones(1)
     cat = dataset.schema.categorical_mask
     cols = []
     for j in range(p):
@@ -224,8 +222,4 @@ def feature_feature_weights(
             table = _contingency(cols[a], cols[b], ka, kb)
             h_b = entropy_discrete(table.sum(axis=0))
             mi[a, b] = mi[b, a] = max(0.0, h_b - conditional_entropy_discrete(table))
-    scores = mi.sum(axis=1) / (p - 1)
-    total = scores.sum()
-    if total <= 0.0:
-        return np.full(p, 1.0 / p)
-    return scores / total
+    return _simplex(mi.sum(axis=1) / max(p - 1, 1))

@@ -44,15 +44,14 @@ class MarSpec:
     """Logistic missingness model: each target cell goes missing with
     probability sigmoid(intercept + coefficients . predictors).
 
-    ``intercepts=None`` with a ``target_rate`` means the intercepts are
-    calibrated at injection time so the realized missing rate per target
-    column matches the requested rate to within half a percent.
+    Each target column's intercept is calibrated at injection time so its
+    realized missing rate matches ``target_rate`` to within half a percent;
+    :func:`inject_mar` refuses a column whose calibration misses that.
     """
 
     targets: tuple[int, ...]
     predictors: tuple[int, ...]
     coefficients: tuple[tuple[float, ...], ...]  # one row per target
-    intercepts: tuple[float, ...] | None = None
     target_rate: float | None = None
 
     def __post_init__(self):
@@ -62,12 +61,8 @@ class MarSpec:
             raise DataError("one coefficient row per target required")
         if any(len(c) != len(self.predictors) for c in self.coefficients):
             raise DataError("coefficient rows must match predictor count")
-        if self.intercepts is not None and len(self.intercepts) != len(self.targets):
-            raise DataError("one intercept per target required")
-        if self.target_rate is not None and not (0.0 < self.target_rate < 1.0):
-            raise DataError("target rate must lie in (0, 1)")
-        if self.intercepts is None and self.target_rate is None:
-            raise DataError("either intercepts or a target rate is required")
+        if self.target_rate is None or not (0.0 < self.target_rate < 1.0):
+            raise DataError(f"target rate must lie in (0, 1), got {self.target_rate!r}")
 
 
 def _continuous_schema(names, class_levels):
@@ -165,27 +160,30 @@ def _sigmoid(x):
 
 def _calibrate_intercept(z: np.ndarray, u: np.ndarray, rate: float, tol: float = 0.005):
     """Bisect the intercept until the realized missing fraction of
-    sigmoid(c + z) > u lands within tol of the requested rate."""
+    sigmoid(c + z) > u lands within tol of the requested rate, or refuse."""
     lo, hi = -40.0, 40.0
-    c = 0.0
+    closest = None
     for _ in range(200):
         c = 0.5 * (lo + hi)
         realized = float((_sigmoid(c + z) > u).mean())
         if abs(realized - rate) <= tol:
             return c
+        if closest is None or abs(realized - rate) < abs(closest - rate):
+            closest = realized
         if realized < rate:
             lo = c
         else:
             hi = c
-    return c
+    raise DataError(f"MAR calibration missed the missing rate {rate:g} by more than {tol:g}; "
+                    f"the closest realized rate was {closest:g}")
 
 
 def inject_mar(dataset: Dataset, spec: MarSpec, seed: int) -> Dataset:
     """Apply the logistic missingness model of a :class:`MarSpec`.
 
-    Predictor columns must be fully observed. With a target rate, each
-    target column's intercept is calibrated by bisection against the
-    realized draws for that column.
+    Predictor columns must be fully observed. Each target column's
+    intercept is calibrated by bisection against the realized draws for
+    that column; a calibration that misses the rate is a :class:`DataError`.
     """
     predictors = [dataset.schema.index_of(j) for j in spec.predictors]
     targets = [dataset.schema.index_of(j) for j in spec.targets]
@@ -201,10 +199,7 @@ def inject_mar(dataset: Dataset, spec: MarSpec, seed: int) -> Dataset:
     for t, j in enumerate(targets):
         z = pred @ np.asarray(spec.coefficients[t])
         u = rng.random(dataset.n)
-        if spec.intercepts is not None:
-            c = spec.intercepts[t]
-        else:
-            c = _calibrate_intercept(z, u, spec.target_rate)
+        c = _calibrate_intercept(z, u, spec.target_rate)
         hit = (_sigmoid(c + z) > u) & mask[:, j]
         mask[hit, j] = False
         values[hit, j] = np.nan

@@ -241,6 +241,20 @@ class TestSynthAndInject:
         na_count = out.read_text().count("NA")
         assert 70 <= na_count <= 90  # 2 columns x 400 cells at ~10% each
 
+    def test_inject_mar_calibration_miss_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "mvn.csv"
+        main(["synth", "mvn", "--seed", "1", "--out", _p(data)])
+        small = tmp_path / "small.csv"
+        small.write_text("".join(data.read_text().splitlines(keepends=True)[:31]))
+        out = tmp_path / "mar.csv"
+        code = main([
+            "inject", "mar", _p(small), "--infer-schema",
+            "--targets", "x4", "x5", "--predictors", "x1", "x2", "x3",
+            "--rate", "0.15", "--seed", "5", "--out", _p(out),
+        ])
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "closest realized rate" in err[0]
 
     @pytest.mark.parametrize("flags, column", [
         (["mcar", "--columns", "x1", "nope"], "nope"),

@@ -217,9 +217,9 @@ class TestBlockBudget:
         queries, _, _, _ = screened_table(rng, 60)
         queries[rng.random(queries.shape) < 0.3] = NAN
         test = build_dataset(queries, levels)
-        whole = impute_test(result, test, config).values
+        whole = impute_test(result, test).values
         monkeypatch.setattr(distance, "BLOCK_BYTES", budget)
-        assert np.array_equal(impute_test(result, test, config).values, whole)
+        assert np.array_equal(impute_test(result, test).values, whole)
 
     @pytest.mark.parametrize("budget", [1, 50_000])
     @pytest.mark.parametrize("method", ["iknn", "gknn", "cgknn"])
@@ -233,9 +233,9 @@ class TestBlockBudget:
         queries, _, _ = tied_table(rng, 60)
         queries[rng.random(queries.shape) < 0.3] = NAN
         test = build_dataset(queries, levels)
-        whole = impute_test(result, test, config).values
+        whole = impute_test(result, test).values
         monkeypatch.setattr(distance, "BLOCK_BYTES", budget)
-        assert np.array_equal(impute_test(result, test, config).values, whole)
+        assert np.array_equal(impute_test(result, test).values, whole)
 
 
 class TestNearestNeighbors:
@@ -602,12 +602,19 @@ class TestRunImpute:
 
     def test_labels_required_for_class_methods(self, rng):
         ds = build_dataset(np.array([[1.0, NAN], [2.0, 0.5], [0.5, 1.0]]))
-        for method in ("miknn", "gknn", "fwgknn", "cgknn"):
+        for method in ("miknn", "gknn", "cgknn"):
             with pytest.raises(DataError):
                 run_impute(ds, ImputeConfig(method=method, k=1))
-        # iknn with explicit k needs no labels
-        res = run_impute(ds, ImputeConfig(method="iknn", k=1))
-        assert res.completed.mask.all()
+        # iknn and fwgknn with explicit k need no labels
+        for method in ("iknn", "fwgknn"):
+            res = run_impute(ds, ImputeConfig(method=method, k=1))
+            assert res.completed.mask.all()
+
+    def test_fwgknn_reads_labels_only_to_select_k(self):
+        ds = build_dataset(np.array([[1.0, NAN], [2.0, 0.5], [0.5, 1.0], [0.1, 0.2]]))
+        assert run_impute(ds, ImputeConfig(method="fwgknn", k=2)).completed.mask.all()
+        with pytest.raises(DataError, match="automatic k selection requires class labels"):
+            run_impute(ds, ImputeConfig(method="fwgknn"))
 
     def test_iknn_without_k_or_labels_rejected(self):
         ds = build_dataset(np.array([[1.0, NAN], [2.0, 0.5], [0.5, 1.0], [0.1, 0.2]]))
@@ -677,28 +684,27 @@ class TestImputeTest:
         labels = rng.integers(0, 2, 30)
         labels[:2] = [0, 1]
         ds = build_dataset(values, labels=labels)
-        config = ImputeConfig(method="cgknn", k=1, seed=1)
-        return ds, run_impute(ds, config), config
+        return ds, run_impute(ds, ImputeConfig(method="cgknn", k=1, seed=1))
 
     def test_complete_row_unchanged(self, rng):
-        ds, result, config = self._trained(rng)
+        ds, result = self._trained(rng)
         test = build_dataset(rng.random((4, 3)))
-        out = impute_test(result, test, config)
+        out = impute_test(result, test)
         assert np.array_equal(out.values, test.values)
 
     def test_near_duplicate_row_recovers_value(self, rng):
-        ds, result, config = self._trained(rng)
+        ds, result = self._trained(rng)
         row = ds.values[7].copy()
         truth = row[2]
         row[2] = NAN
         test = build_dataset(row[None, :])
-        out = impute_test(result, test, config)
+        out = impute_test(result, test)
         assert out.values[0, 2] == pytest.approx(truth, abs=1e-4)
 
     def test_empty_test_set(self, rng):
-        ds, result, config = self._trained(rng)
+        ds, result = self._trained(rng)
         test = build_dataset(np.empty((0, 3)))
-        out = impute_test(result, test, config)
+        out = impute_test(result, test)
         assert out.n == 0
 
     def test_screened_cgknn_matches_oracle(self, rng):
@@ -713,7 +719,7 @@ class TestImputeTest:
         queries, _, _, _ = screened_table(rng, 40)
         queries[rng.random(queries.shape) < 0.3] = NAN
         test = build_dataset(queries, levels)
-        out = result.ranges.to_unit(impute_test(result, test, config).values)
+        out = result.ranges.to_unit(impute_test(result, test).values)
         donors = result.ranges.to_unit(result.completed.values).tolist()
         assert GreyMetric(cat, 0.5, weights).screen(np.array(donors)) is not None
         for r, query in enumerate(result.ranges.to_unit(queries).tolist()):
@@ -730,13 +736,39 @@ class TestImputeTest:
                         oracle_numeric_estimate(nd, nv, True), rel=1e-12, abs=1e-12
                     )
 
+    def test_custom_plan_serves_transform(self, rng):
+        # gknn's own plan estimates cells by plain means; a run under a
+        # plan with weighted cells must impute test rows with weighted ones
+        values = rng.random((40, 3))
+        values[rng.random(values.shape) < 0.1] = NAN
+        labels = np.arange(40) % 2
+        train = build_dataset(values, labels=labels)
+        weighted = MethodPlan(True, "grey", "none", True)
+        result = run_plan(train, ImputeConfig(method="gknn", k=3, seed=1), weighted)
+        queries = rng.random((10, 3))
+        queries[:, 1] = NAN
+        out = result.ranges.to_unit(impute_test(result, build_dataset(queries)).values)
+        donors = result.ranges.to_unit(result.completed.values).tolist()
+        cat = [False] * 3
+        unlike_plain = False
+        for r, query in enumerate(result.ranges.to_unit(queries).tolist()):
+            dmin, dmax = oracle_bounds(query, donors, cat)
+            dist = [1.0 - oracle_grg(query, d, cat, dmin, dmax, 0.5) for d in donors]
+            nearest = sorted(range(len(donors)), key=lambda i: (dist[i], i))[:3]
+            nd, nv = [dist[i] for i in nearest], [donors[i][1] for i in nearest]
+            assert out[r, 1] == pytest.approx(
+                oracle_numeric_estimate(nd, nv, True), rel=1e-12, abs=1e-12
+            )
+            unlike_plain |= out[r, 1] != pytest.approx(oracle_numeric_estimate(nd, nv, False))
+        assert unlike_plain
+
     def test_schema_mismatch_rejected(self, rng):
         from greyimpute.errors import SchemaMismatchError
 
-        ds, result, config = self._trained(rng)
+        ds, result = self._trained(rng)
         test = build_dataset(rng.random((2, 2)))
         with pytest.raises(SchemaMismatchError):
-            impute_test(result, test, config)
+            impute_test(result, test)
 
 
 class TestCubeScenarioRegression:

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greyimpute.engine import Method
+from greyimpute.dataset import normalize
+from greyimpute.distance import GreyMetric
+from greyimpute.engine import Method, select_k
 from greyimpute.errors import DataError
 from greyimpute.estimator import GreyKNNImputer, check_matrix
+from greyimpute.synth import gen_mvn_mar
 
 NAN = float("nan")
 
@@ -77,6 +80,28 @@ class TestFitTransform:
         est = GreyKNNImputer(method="iknn", n_neighbors=2, categorical_features=(2,))
         out = est.fit_transform(holed)
         assert not np.isnan(out).any()
+
+    def test_set_params_after_fit_leaves_transform_alone(self, rng):
+        x, holed, y = _toy(rng)
+        est = GreyKNNImputer(method="cgknn", n_neighbors=3, categorical_features=(2,))
+        est.fit(holed, y)
+        new = x[:10].copy()
+        new[::2, 1] = NAN
+        new[1::2, 2] = NAN
+        before = est.transform(new)
+        est.set_params(method="iknn", rho=0.1)
+        assert est.transform(new).tobytes() == before.tobytes()
+
+    def test_complete_table_selects_k_for_transform(self):
+        ds, _ = gen_mvn_mar(3)
+        est = GreyKNNImputer().fit(ds.values, ds.labels)
+        metric = GreyMetric(ds.schema.categorical_mask, 0.5, est.feature_weights_)
+        picked = select_k(normalize(ds)[0].values, ds.labels, metric)
+        assert est.result_.chosen_k == picked == 15
+        new = ds.values[::7].copy()
+        new[:, 3] = NAN
+        fixed = GreyKNNImputer(n_neighbors=15).fit(ds.values, ds.labels)
+        assert est.transform(new).tobytes() == fixed.transform(new).tobytes()
 
     def test_transform_before_fit_rejected(self):
         with pytest.raises(DataError):

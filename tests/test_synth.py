@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from greyimpute._rng import make_rng
-from greyimpute.dataset import validate
+from greyimpute.dataset import Dataset, validate
 from greyimpute.errors import DataError, PredictorMissingError
 from greyimpute.synth import (
     MarSpec,
@@ -103,25 +105,11 @@ class TestInjectMcar:
 
 
 class TestInjectMar:
-    def test_constant_probability_special_case(self):
-        ds, _ = gen_mvn_mar(1)
-        intercept = float(np.log(0.2 / 0.8))
-        spec = MarSpec(
-            targets=(3, 4), predictors=(0, 1, 2),
-            coefficients=((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
-            intercepts=(intercept, intercept),
-        )
-        rates = []
-        for seed in range(30):
-            out = inject_mar(ds, spec, seed)
-            rates.append((~out.mask[:, 3:]).mean())
-        assert np.mean(rates) == pytest.approx(0.2, abs=0.02)
-
     def test_monotone_dependence_on_predictor(self):
         ds, _ = gen_mvn_mar(2)
         spec = MarSpec(
             targets=(3,), predictors=(0,),
-            coefficients=((4.0,),), intercepts=(0.0,),
+            coefficients=((4.0,),), target_rate=0.5,
         )
         x1 = ds.values[:, 0]
         top = x1 >= np.quantile(x1, 0.75)
@@ -140,6 +128,13 @@ class TestInjectMar:
                 rate = (~out.mask[:, j]).mean()
                 assert 0.095 <= rate <= 0.105
 
+    def test_calibration_miss_is_refused(self):
+        # 30 rows realize rates in steps of 1/30: none within 0.005 of 0.15
+        ds, spec = gen_mvn_mar(1)
+        small = Dataset(ds.schema, ds.values[:30], ds.mask[:30], ds.labels[:30])
+        with pytest.raises(DataError, match=r"rate 0\.15 .* closest realized rate was 0\.1(33333|66667)$"):
+            inject_mar(small, replace(spec, target_rate=0.15), 1)
+
     def test_predictor_missing_rejected(self):
         ds, spec = gen_mvn_mar(3)
         holed = inject_mcar(ds, ["x1"], 0.1, 1)
@@ -155,13 +150,13 @@ class TestInjectMar:
 class TestMarSpecInvariants:
     def test_overlapping_targets_rejected(self):
         with pytest.raises(DataError):
-            MarSpec((1,), (1, 2), ((0.0, 0.0),), intercepts=(0.0,))
+            MarSpec((1,), (1, 2), ((0.0, 0.0),), target_rate=0.1)
 
     def test_rate_bounds(self):
         with pytest.raises(DataError):
             MarSpec((3,), (0,), ((1.0,),), target_rate=1.2)
 
-    def test_needs_rate_or_intercepts(self):
+    def test_needs_target_rate(self):
         with pytest.raises(DataError):
             MarSpec((3,), (0,), ((1.0,),))
 
