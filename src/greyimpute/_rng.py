@@ -18,12 +18,9 @@ _STREAMS = {
 }
 
 
-def make_rng(seed: int, stream: str | None = None, *extra: int) -> np.random.Generator:
-    """Generator for ``seed``, optionally namespaced by stream and indices."""
-    entropy = [int(seed)]
-    if stream is not None:
-        entropy.append(_STREAMS[stream])
-    entropy.extend(int(e) for e in extra)
+def make_rng(seed: int, stream: str) -> np.random.Generator:
+    """Generator for ``seed`` in the named stream."""
+    entropy = [int(seed), _STREAMS[stream]]
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 

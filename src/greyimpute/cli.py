@@ -218,11 +218,9 @@ def _cmd_inject(ns) -> int:
     if ns.mechanism == "mcar":
         injected = inject_mcar(dataset, ns.columns, ns.rate, ns.seed)
     else:
-        idx = [dataset.schema.index_of(c) for c in ns.targets]
-        pidx = [dataset.schema.index_of(c) for c in ns.predictors]
-        coeffs = tuple(tuple(ns.coeff for _ in pidx) for _ in idx)
-        spec = MarSpec(targets=tuple(idx), predictors=tuple(pidx), coefficients=coeffs,
-                       target_rate=ns.rate)
+        coeffs = tuple((ns.coeff,) * len(ns.predictors) for _ in ns.targets)
+        spec = MarSpec(targets=tuple(ns.targets), predictors=tuple(ns.predictors),
+                       coefficients=coeffs, target_rate=ns.rate)
         injected = inject_mar(dataset, spec, ns.seed)
     return _write_dataset_outputs(ns, injected, inputs, dataset.mask & ~injected.mask)
 

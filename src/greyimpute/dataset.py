@@ -2,9 +2,8 @@
 
 A dataset is an ``n x p`` matrix of cells. Continuous cells hold finite
 reals; categorical cells hold 0-based level indices (stored as floats so a
-single ndarray carries both kinds); missing cells hold NaN. A boolean mask
-mirrors the cells (True = observed) and is kept explicit so consistency can
-be audited by :func:`validate` rather than assumed.
+single ndarray carries both kinds); missing cells hold NaN, and only they
+do: the boolean mask (True = observed) is read off the NaN cells.
 
 All values are immutable after construction; every operation returns new
 objects.
@@ -98,30 +97,29 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Cells, mask and optional class labels under one schema.
+    """Cells and optional class labels under one schema.
 
-    ``values`` is float64 with NaN marking missing cells; ``mask`` is True
-    where a cell is observed. The two are stored separately (instead of
-    deriving the mask from NaN) so that inconsistencies are representable
-    and reportable by :func:`validate`.
+    ``values`` is float64 with NaN marking missing cells; ``mask``, True
+    where a cell is observed, is worked out from them. A mask given at
+    construction must agree with the NaN cells, or it is a DataError.
     """
 
     schema: Schema
     values: np.ndarray
-    mask: np.ndarray
+    mask: np.ndarray | None = None
     labels: np.ndarray | None = None
 
     def __post_init__(self):
         values = _frozen(np.asarray(self.values, dtype=float))
-        mask = _frozen(np.asarray(self.mask, dtype=bool))
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "mask", mask)
         if values.ndim != 2 or values.shape[1] != self.schema.p:
             raise DataError(
                 f"values shape {values.shape} does not match schema width {self.schema.p}"
             )
-        if mask.shape != values.shape:
-            raise DataError("mask shape differs from values shape")
+        mask = _frozen(~np.isnan(values))
+        if self.mask is not None and not np.array_equal(self.mask, mask):
+            raise DataError("mask disagrees with the missing (NaN) cells")
+        object.__setattr__(self, "mask", mask)
         if self.labels is not None:
             labels = _frozen(np.asarray(self.labels, dtype=int))
             object.__setattr__(self, "labels", labels)
@@ -136,15 +134,13 @@ class Dataset:
     def p(self) -> int:
         return self.values.shape[1]
 
-    def with_values(self, values: np.ndarray, mask: np.ndarray | None = None) -> "Dataset":
-        return Dataset(self.schema, values, self.mask if mask is None else mask, self.labels)
+    def with_values(self, values: np.ndarray) -> "Dataset":
+        return Dataset(self.schema, values, labels=self.labels)
 
     def equals(self, other: "Dataset") -> bool:
         if self.schema != other.schema:
             return False
         if not np.array_equal(self.values, other.values, equal_nan=True):
-            return False
-        if not np.array_equal(self.mask, other.mask):
             return False
         if (self.labels is None) != (other.labels is None):
             return False
@@ -237,32 +233,23 @@ class ValidationReport:
 def validate(dataset: Dataset) -> ValidationReport:
     """Audit a dataset against its invariants.
 
-    Returns a report listing every mask/cell inconsistency, out-of-range
-    categorical index and non-finite numeric cell, plus per-column missing
-    rates. Never raises.
+    Returns a report listing every out-of-range categorical index and
+    non-finite numeric cell, plus per-column missing rates. Never raises.
     """
     out: list[Violation] = []
-    vals, mask = dataset.values, dataset.mask
-    cat = dataset.schema.categorical_mask
     for j, feat in enumerate(dataset.schema.features):
-        col, m = vals[:, j], mask[:, j]
-        isnan = np.isnan(col)
-        for i in np.nonzero(isnan & m)[0]:
-            out.append(Violation(int(i), j, "mask-inconsistency", "observed cell holds no value"))
-        for i in np.nonzero(~isnan & ~m)[0]:
-            out.append(Violation(int(i), j, "mask-inconsistency", "masked cell holds a value"))
-        if cat[j]:
+        col = dataset.values[:, j]
+        if feat.is_categorical:
             k = len(feat.levels)
-            bad = ~isnan & ((col != np.floor(col)) | (col < 0) | (col >= k))
+            bad = dataset.mask[:, j] & ((col != np.floor(col)) | (col < 0) | (col >= k))
             for i in np.nonzero(bad)[0]:
                 out.append(
                     Violation(int(i), j, "bad-level-index", f"{col[i]!r} outside 0..{k - 1}")
                 )
         else:
-            bad = np.isinf(col)
-            for i in np.nonzero(bad)[0]:
+            for i in np.nonzero(np.isinf(col))[0]:
                 out.append(Violation(int(i), j, "non-finite", repr(float(col[i]))))
-    rates = 1.0 - mask.mean(axis=0) if dataset.n else np.zeros(dataset.p)
+    rates = 1.0 - dataset.mask.mean(axis=0) if dataset.n else np.zeros(dataset.p)
     return ValidationReport(tuple(out), rates)
 
 

@@ -165,13 +165,13 @@ class ImputationResult:
     metric: object
 
 
-def column_fill(values: np.ndarray, mask: np.ndarray, schema) -> np.ndarray:
-    """Per column of ``values``, the mean of its observed cells (``mask``
-    True) for a continuous column or their mode, ties to the lowest level
-    index, for a categorical one; NaN where nothing is observed."""
+def column_fill(values: np.ndarray, schema) -> np.ndarray:
+    """Per column of ``values``, the mean of its observed (non-NaN) cells
+    for a continuous column or their mode, ties to the lowest level index,
+    for a categorical one; NaN where nothing is observed."""
     out = np.full(values.shape[1], np.nan)
     for j, feat in enumerate(schema.features):
-        obs = values[mask[:, j], j]
+        obs = values[~np.isnan(values[:, j]), j]
         if not obs.size:
             continue
         if feat.levels is None:
@@ -190,7 +190,7 @@ def initial_impute(dataset: Dataset, per_class: bool = False) -> Dataset:
     """
     if per_class and dataset.labels is None:
         raise DataError("per-class initial imputation requires labels")
-    whole = column_fill(dataset.values, dataset.mask, dataset.schema)
+    whole = column_fill(dataset.values, dataset.schema)
     empty = np.isnan(whole) & ~dataset.mask.all(axis=0)
     if empty.any():
         name = dataset.schema.features[int(np.argmax(empty))].name
@@ -199,10 +199,10 @@ def initial_impute(dataset: Dataset, per_class: bool = False) -> Dataset:
     if per_class:
         for y in np.unique(dataset.labels):
             rows = np.nonzero(dataset.labels == y)[0]
-            own = column_fill(dataset.values[rows], dataset.mask[rows], dataset.schema)
+            own = column_fill(dataset.values[rows], dataset.schema)
             gap_rows, gap_cols = np.nonzero(~dataset.mask[rows])
             vals[rows[gap_rows], gap_cols] = np.where(np.isnan(own), whole, own)[gap_cols]
-    return dataset.with_values(vals, np.ones_like(dataset.mask))
+    return dataset.with_values(vals)
 
 
 def _nearest(d: np.ndarray, k: int) -> np.ndarray:
@@ -310,10 +310,8 @@ class RunState:
     values: np.ndarray  # current complete iterate, normalized scale
     metric: object
     k: int
-    weights: np.ndarray | None
     mi_estimates: tuple[MIEstimate, ...] | None
-    incomplete_rows: np.ndarray
-    pools: dict[int, np.ndarray]
+    pools: dict[int, np.ndarray]  # incomplete row -> its pool, rows ascending
     used_pool_fallback: bool
     fixed: dict[int, tuple] | None = None  # see _rank_fixed
 
@@ -399,9 +397,7 @@ def prepare(
         values=initial.values.copy(),
         metric=metric,
         k=k,
-        weights=weights,
         mi_estimates=mi_estimates,
-        incomplete_rows=incomplete,
         pools=pools,
         used_pool_fallback=fallback,
     )
@@ -520,7 +516,7 @@ def sweep(state: RunState) -> SweepResult:
     cat = schema.categorical_mask
     neighbors_out: dict[int, np.ndarray] = {}
     max_change = 0.0
-    for r in map(int, state.incomplete_rows):
+    for r in state.pools:
         cols = np.flatnonzero(~state.dataset.mask[r])
         ranked = state.fixed.get(r)
         if ranked is None:
@@ -535,11 +531,10 @@ def sweep(state: RunState) -> SweepResult:
     return SweepResult(max_change, neighbors_out)
 
 
-def _completed(dataset: Dataset, ranges: RangeTable, unit_values: np.ndarray) -> Dataset:
-    """The dataset with every gap taken from ``unit_values`` (normalized
-    scale) and every observed cell kept as it was."""
-    out = np.where(dataset.mask, dataset.values, ranges.from_unit(unit_values))
-    return Dataset(dataset.schema, out, np.ones_like(dataset.mask), dataset.labels)
+def _completed(dataset: Dataset, ranges: RangeTable, unit: np.ndarray) -> Dataset:
+    """The dataset with every gap taken from ``unit`` (normalized scale)
+    and every observed cell kept as it was."""
+    return dataset.with_values(np.where(dataset.mask, dataset.values, ranges.from_unit(unit)))
 
 
 def _compose_result(state: RunState, trace: list[float], converged: bool) -> ImputationResult:
@@ -548,7 +543,7 @@ def _compose_result(state: RunState, trace: list[float], converged: bool) -> Imp
         trace=tuple(trace),
         iterations=len(trace),
         chosen_k=state.k,
-        weights_used=state.weights,
+        weights_used=state.metric.weights,
         mi_estimates=state.mi_estimates,
         converged=converged,
         used_pool_fallback=state.used_pool_fallback,
@@ -568,7 +563,7 @@ def run_plan(
     state = prepare(dataset, config, plan, weights_override)
     trace: list[float] = []
     converged = True
-    if plan.iterative and len(state.incomplete_rows):
+    if plan.iterative and state.pools:
         converged = False
         for _ in range(config.max_iter):
             result = sweep(state)
@@ -605,9 +600,9 @@ def impute_test(result: ImputationResult, test: Dataset) -> Dataset:
     _require_valid(test)
     ranges, k = result.ranges, result.chosen_k
     train_vals = ranges.to_unit(train.values)
-    test_vals = ranges.to_unit(np.where(test.mask, test.values, np.nan))
+    test_vals = ranges.to_unit(test.values)
     if not result.plan.iterative:
-        test_vals = np.where(test.mask, test_vals, column_fill(train_vals, train.mask, train.schema))
+        test_vals = np.where(test.mask, test_vals, column_fill(train_vals, train.schema))
     else:
         if train.n < k:
             raise InsufficientCandidatesError(f"{train.n} training rows for k={k}")

@@ -19,6 +19,7 @@ hold codes seen at ``fit``.
 from __future__ import annotations
 
 import inspect
+import numbers
 
 import numpy as np
 
@@ -141,9 +142,13 @@ class GreyKNNImputer:
 
     # -- fitting ----------------------------------------------------------
     def _schema_for(self, X, y) -> tuple[Schema, np.ndarray | None]:
-        cat = set(int(j) for j in self.categorical_features)
+        p, cat = X.shape[1], set()
+        for j in self.categorical_features:
+            if not isinstance(j, numbers.Integral) or isinstance(j, bool) or not 0 <= j < p:
+                raise DataError(f"categorical_features holds {j!r}, not a column index in [0, {p})")
+            cat.add(int(j))
         features = []
-        for j in range(X.shape[1]):
+        for j in range(p):
             if j in cat:
                 obs = X[~np.isnan(X[:, j]), j]
                 if obs.size == 0:
@@ -181,7 +186,7 @@ class GreyKNNImputer:
         schema, labels = self._schema_for(X, y)
         categories = {j: np.array(f.levels, dtype=float)
                       for j, f in enumerate(schema.features) if f.levels}
-        dataset = Dataset(schema, _to_levels(X, categories), ~np.isnan(X), labels)
+        dataset = Dataset(schema, _to_levels(X, categories), labels=labels)
         self.result_ = run_impute(dataset, self._config())
         self.schema_, self.categories_ = schema, categories
         self.n_features_in_ = X.shape[1]
@@ -196,7 +201,7 @@ class GreyKNNImputer:
         X = check_matrix(X, self.n_features_in_)
         # the test rows carry no labels; only the features must line up
         bare = Schema(self.schema_.features, None, ())
-        test = Dataset(bare, _to_levels(X, self.categories_), ~np.isnan(X), None)
+        test = Dataset(bare, _to_levels(X, self.categories_))
         return _to_codes(X, impute_test(self.result_, test).values, self.categories_)
 
     def fit_transform(self, X, y=None):

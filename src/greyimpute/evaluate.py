@@ -162,7 +162,7 @@ def classification_accuracy(predicted, truth) -> float:
 
 
 def _rows(dataset: Dataset, rows: np.ndarray) -> Dataset:
-    return Dataset(dataset.schema, dataset.values[rows], dataset.mask[rows], dataset.labels[rows])
+    return Dataset(dataset.schema, dataset.values[rows], labels=dataset.labels[rows])
 
 
 def kfold_cv(dataset: Dataset, folds: int = ImputeConfig.folds, seed: int = 0) -> float:
@@ -184,7 +184,7 @@ def no_imputation_cv(
     accs = []
     for train, test in stratified_folds(dataset.labels, folds, seed):
         model = nb_fit(_rows(dataset, train[dataset.mask[train].all(axis=1)]))
-        fill = column_fill(dataset.values[train], dataset.mask[train], dataset.schema)
+        fill = column_fill(dataset.values[train], dataset.schema)
         if np.isnan(fill).any():
             j = int(np.argmax(np.isnan(fill)))
             raise DataError(f"column {j} unobserved in a training fold")
@@ -212,8 +212,8 @@ class BenchmarkSpec:
     seeds: tuple[int, ...]
     mechanism: str = "mcar"
     mcar_columns: tuple = ("x1",)
-    mar_targets: tuple[int, ...] | None = None
-    mar_predictors: tuple[int, ...] | None = None
+    mar_targets: tuple[int | str, ...] | None = None
+    mar_predictors: tuple[int | str, ...] | None = None
     config: ImputeConfig = field(default_factory=ImputeConfig)
     timing: bool = True
 
@@ -222,6 +222,9 @@ class BenchmarkSpec:
         object.__setattr__(self, "methods", methods)
         if not self.seeds:
             raise DataError("at least one seed is required")
+        for name in ("methods", "rates", "seeds"):
+            if len(set(getattr(self, name))) != len(getattr(self, name)):
+                raise DataError(f"{name} must not repeat a value, got {getattr(self, name)!r}")
         if any(not (0.0 < r < 1.0) for r in self.rates):
             raise DataError("missing rates must lie in (0, 1)")
         if self.mechanism not in ("mcar", "mar"):

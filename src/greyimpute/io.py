@@ -206,7 +206,7 @@ def _codes(name: str, cells, missing, levels=None):
 def read_csv(text: str, config: SchemaConfig) -> Dataset:
     """Parse CSV text into a dataset under the declared schema.
 
-    Cells equal to a missing token become missing (mask 0); a column is
+    Cells equal to a missing token become missing (NaN); a column is
     parsed by :func:`_numbers` or coded by :func:`_codes` per its declared
     kind. The class column, when declared, must be fully observed and is
     coded into labels with levels in first-appearance order.
@@ -246,7 +246,7 @@ def read_csv(text: str, config: SchemaConfig) -> Dataset:
         labels = codes.astype(int)
 
     schema = Schema(tuple(features), config.class_column, class_levels)
-    return Dataset(schema, values, ~np.isnan(values), labels)
+    return Dataset(schema, values, labels=labels)
 
 
 def csv_field(text: str) -> str:
@@ -286,9 +286,9 @@ def write_csv(dataset: Dataset, missing_token: str | None = None) -> str:
         header.append(schema.class_column)
         classes = [csv_field(c) for c in schema.class_levels]
         labels = [[classes[y]] for y in dataset.labels.tolist()]
-    rows = ([token if not m or v != v else repr(v) if lv is None else lv[int(v)]  # v != v: NaN
-             for v, m, lv in zip(values, mask, levels)] + label
-            for values, mask, label in zip(dataset.values.tolist(), dataset.mask.tolist(), labels))
+    rows = ([token if v != v else repr(v) if lv is None else lv[int(v)]  # v != v: NaN
+             for v, lv in zip(values, levels)] + label
+            for values, label in zip(dataset.values.tolist(), labels))
     return csv_table(header, rows)
 
 

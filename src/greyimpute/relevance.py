@@ -37,6 +37,8 @@ BANDWIDTH_FLOOR = 1e-6
 # Parzen grid nodes per bandwidth h, and the kernel cut-off in bandwidths
 GRID_STEPS_PER_BANDWIDTH = 128
 KERNEL_CUTOFF = 9
+# equal-frequency bins per continuous column in inter-feature MI
+FEATURE_MI_BINS = 10
 
 
 @dataclass(frozen=True)
@@ -195,26 +197,25 @@ def dataset_class_weights(dataset: Dataset) -> tuple[np.ndarray, tuple[MIEstimat
     return class_weights(estimates), tuple(estimates)
 
 
-def _equal_frequency_bins(x: np.ndarray, bins: int = 10) -> np.ndarray:
-    edges = np.quantile(x, np.linspace(0, 1, bins + 1)[1:-1])
+def _equal_frequency_bins(x: np.ndarray) -> np.ndarray:
+    edges = np.quantile(x, np.linspace(0, 1, FEATURE_MI_BINS + 1)[1:-1])
     return np.searchsorted(edges, x, side="right")
 
 
-def feature_feature_weights(
-    dataset: Dataset, bins: int = 10
-) -> np.ndarray:
+def feature_feature_weights(dataset: Dataset) -> np.ndarray:
     """Inter-feature relevance weights for a complete dataset.
 
     Each feature's raw score is the mean pairwise MI between it and every
     other feature, computed on discretized columns (continuous features are
-    cut into equal-frequency bins); scores are simplex-normalized.
+    cut into :data:`FEATURE_MI_BINS` equal-frequency bins); scores are
+    simplex-normalized.
     """
     p = dataset.p
     cat = dataset.schema.categorical_mask
     cols = []
     for j in range(p):
         col = dataset.values[:, j]
-        cols.append(col.astype(int) if cat[j] else _equal_frequency_bins(col, bins))
+        cols.append(col.astype(int) if cat[j] else _equal_frequency_bins(col))
     mi = np.zeros((p, p))
     for a in range(p):
         for b in range(a + 1, p):

@@ -37,6 +37,8 @@ CUBE_CENTERS = (
 CUBE_HALF_SIDE = 0.10
 CUBE_SAMPLES = 100
 CUBE_NOISE_FEATURES = 20
+MVN_SAMPLES = 100  # rows per class of gen_mvn_mar
+MAR_RATE_TOLERANCE = 0.005
 
 
 @dataclass(frozen=True)
@@ -45,18 +47,17 @@ class MarSpec:
     probability sigmoid(intercept + coefficients . predictors).
 
     Each target column's intercept is calibrated at injection time so its
-    realized missing rate matches ``target_rate`` to within half a percent;
-    :func:`inject_mar` refuses a column whose calibration misses that.
+    realized missing rate matches ``target_rate`` to within
+    :data:`MAR_RATE_TOLERANCE`; :func:`inject_mar` refuses a column whose
+    calibration misses that.
     """
 
-    targets: tuple[int, ...]
-    predictors: tuple[int, ...]
+    targets: tuple[int | str, ...]  # column indices or names
+    predictors: tuple[int | str, ...]
     coefficients: tuple[tuple[float, ...], ...]  # one row per target
     target_rate: float | None = None
 
     def __post_init__(self):
-        if set(self.targets) & set(self.predictors):
-            raise DataError("MAR targets and predictors must be disjoint")
         if len(self.coefficients) != len(self.targets):
             raise DataError("one coefficient row per target required")
         if any(len(c) != len(self.predictors) for c in self.coefficients):
@@ -84,7 +85,7 @@ def gen_cubes(seed: int) -> Dataset:
     values = np.hstack([np.vstack(blocks), noise])
     names = ["x1", "x2", "x3"] + [f"noise{i}" for i in range(1, CUBE_NOISE_FEATURES + 1)]
     schema = _continuous_schema(names, ("1", "2"))
-    return Dataset(schema, values, np.ones_like(values, dtype=bool), np.array(labels))
+    return Dataset(schema, values, labels=np.array(labels))
 
 
 def _random_correlation(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -104,8 +105,8 @@ def _random_correlation(dim: int, rng: np.random.Generator) -> np.ndarray:
     return corr
 
 
-def gen_mvn_mar(seed: int, n_per_class: int = 100) -> tuple[Dataset, MarSpec]:
-    """Four classes of multivariate normal rows in five dimensions.
+def gen_mvn_mar(seed: int) -> tuple[Dataset, MarSpec]:
+    """Four classes of :data:`MVN_SAMPLES` normal rows in five dimensions.
 
     Class means are uniform on [-1, 1]^5 and class covariances are random
     correlation matrices. Features 1-3 are designated always-observed
@@ -117,11 +118,11 @@ def gen_mvn_mar(seed: int, n_per_class: int = 100) -> tuple[Dataset, MarSpec]:
     for y in range(m):
         mean = rng.uniform(-1.0, 1.0, size=dim)
         cov = _random_correlation(dim, rng)
-        blocks.append(rng.multivariate_normal(mean, cov, size=n_per_class, method="cholesky"))
-        labels.extend([y] * n_per_class)
+        blocks.append(rng.multivariate_normal(mean, cov, size=MVN_SAMPLES, method="cholesky"))
+        labels.extend([y] * MVN_SAMPLES)
     values = np.vstack(blocks)
     schema = _continuous_schema([f"x{j}" for j in range(1, dim + 1)], ("1", "2", "3", "4"))
-    dataset = Dataset(schema, values, np.ones_like(values, dtype=bool), np.array(labels))
+    dataset = Dataset(schema, values, labels=np.array(labels))
     spec = MarSpec(
         targets=(3, 4),
         predictors=(0, 1, 2),
@@ -131,21 +132,27 @@ def gen_mvn_mar(seed: int, n_per_class: int = 100) -> tuple[Dataset, MarSpec]:
     return dataset, spec
 
 
+def _distinct_columns(schema, columns) -> list[int]:
+    """The positions of ``columns``, named or indexed; a column named twice
+    is a DataError."""
+    cols = [schema.index_of(c) for c in columns]
+    for i, j in enumerate(cols):
+        if j in cols[:i]:
+            raise DataError(f"column {schema.features[j].name!r} is named twice")
+    return cols
+
+
 def inject_mcar(dataset: Dataset, columns, rate: float, seed: int) -> Dataset:
-    """Flip each targeted observed cell to missing independently with the
-    given probability."""
+    """Flip each cell of the named columns to missing independently with
+    the given probability; a column named twice is a DataError."""
     if not (0.0 <= rate < 1.0):
         raise DataError(f"MCAR rate must lie in [0, 1), got {rate}")
-    cols = [dataset.schema.index_of(c) for c in columns]
+    cols = _distinct_columns(dataset.schema, columns)
     rng = make_rng(seed, "inject")
-    mask = dataset.mask.copy()
     values = dataset.values.copy()
     for j in cols:
-        draws = rng.random(dataset.n) < rate
-        hit = draws & mask[:, j]
-        mask[hit, j] = False
-        values[hit, j] = np.nan
-    return Dataset(dataset.schema, values, mask, dataset.labels)
+        values[rng.random(dataset.n) < rate, j] = np.nan
+    return dataset.with_values(values)
 
 
 def _sigmoid(x):
@@ -158,15 +165,16 @@ def _sigmoid(x):
     return out
 
 
-def _calibrate_intercept(z: np.ndarray, u: np.ndarray, rate: float, tol: float = 0.005):
+def _calibrate_intercept(z: np.ndarray, u: np.ndarray, rate: float):
     """Bisect the intercept until the realized missing fraction of
-    sigmoid(c + z) > u lands within tol of the requested rate, or refuse."""
+    sigmoid(c + z) > u lands within :data:`MAR_RATE_TOLERANCE` of the
+    requested rate, or refuse."""
     lo, hi = -40.0, 40.0
     closest = None
     for _ in range(200):
         c = 0.5 * (lo + hi)
         realized = float((_sigmoid(c + z) > u).mean())
-        if abs(realized - rate) <= tol:
+        if abs(realized - rate) <= MAR_RATE_TOLERANCE:
             return c
         if closest is None or abs(realized - rate) < abs(closest - rate):
             closest = realized
@@ -174,33 +182,31 @@ def _calibrate_intercept(z: np.ndarray, u: np.ndarray, rate: float, tol: float =
             lo = c
         else:
             hi = c
-    raise DataError(f"MAR calibration missed the missing rate {rate:g} by more than {tol:g}; "
-                    f"the closest realized rate was {closest:g}")
+    raise DataError(f"MAR calibration missed the missing rate {rate:g} by more than "
+                    f"{MAR_RATE_TOLERANCE:g}; the closest realized rate was {closest:g}")
 
 
 def inject_mar(dataset: Dataset, spec: MarSpec, seed: int) -> Dataset:
     """Apply the logistic missingness model of a :class:`MarSpec`.
 
-    Predictor columns must be fully observed. Each target column's
-    intercept is calibrated by bisection against the realized draws for
-    that column; a calibration that misses the rate is a :class:`DataError`.
+    Predictor columns must be fully observed, and no column may be named
+    twice among targets and predictors. Each target column's intercept is
+    calibrated by bisection against the realized draws for that column; a
+    calibration that misses the rate is a :class:`DataError`.
     """
-    predictors = [dataset.schema.index_of(j) for j in spec.predictors]
-    targets = [dataset.schema.index_of(j) for j in spec.targets]
+    columns = _distinct_columns(dataset.schema, (*spec.targets, *spec.predictors))
+    targets, predictors = columns[:len(spec.targets)], columns[len(spec.targets):]
     for j in predictors:
         if not dataset.mask[:, j].all():
             raise PredictorMissingError(
                 f"predictor column {dataset.schema.features[j].name!r} has missing cells"
             )
     rng = make_rng(seed, "inject")
-    mask = dataset.mask.copy()
     values = dataset.values.copy()
     pred = dataset.values[:, predictors]
     for t, j in enumerate(targets):
         z = pred @ np.asarray(spec.coefficients[t])
         u = rng.random(dataset.n)
         c = _calibrate_intercept(z, u, spec.target_rate)
-        hit = (_sigmoid(c + z) > u) & mask[:, j]
-        mask[hit, j] = False
-        values[hit, j] = np.nan
-    return Dataset(dataset.schema, values, mask, dataset.labels)
+        values[_sigmoid(c + z) > u, j] = np.nan
+    return dataset.with_values(values)

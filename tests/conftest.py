@@ -5,11 +5,10 @@ from greyimpute.dataset import Dataset, Feature, Schema
 
 
 def build_dataset(values, categorical_levels=None, labels=None, class_levels=None,
-                  names=None, mask=None):
-    """Assemble a Dataset from a plain value matrix.
+                  names=None):
+    """Assemble a Dataset from a plain value matrix; NaN cells are missing.
 
     categorical_levels: {col_index: (level, ...)} marks categorical columns.
-    NaN cells become missing unless an explicit mask is given.
     """
     values = np.asarray(values, dtype=float)
     categorical_levels = categorical_levels or {}
@@ -27,10 +26,7 @@ def build_dataset(values, categorical_levels=None, labels=None, class_levels=Non
         cl = tuple(class_levels) if class_levels else tuple(
             str(v) for v in range(int(labels.max()) + 1)
         )
-    schema = Schema(feats, class_column, cl)
-    if mask is None:
-        mask = ~np.isnan(values)
-    return Dataset(schema, values, mask, labels)
+    return Dataset(Schema(feats, class_column, cl), values, labels=labels)
 
 
 def random_mixed_dataset(rng, max_n=10, max_p=4, missing_rate=0.3, n_classes=2,

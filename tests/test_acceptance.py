@@ -97,7 +97,7 @@ def test_criterion_1_oracle_equivalence():
             state = prepare(ds, ImputeConfig(method=method, k=k, seed=trial))
             result = sweep(state)
             oracle_nbrs, oracle_vals = oracle_one_iteration(
-                ds, method, k, rho=0.5, weights=state.weights
+                ds, method, k, rho=0.5, weights=state.metric.weights
             )
             for row, nbrs in result.neighbors.items():
                 if list(nbrs) != [i for i, _ in oracle_nbrs[row]]:

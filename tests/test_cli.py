@@ -260,6 +260,7 @@ class TestSynthAndInject:
         (["mcar", "--columns", "x1", "nope"], "nope"),
         (["mar", "--targets", "nope", "--predictors", "x1"], "nope"),
         (["mar", "--targets", "x4", "--predictors", "x1", "nah"], "nah"),
+        (["mcar", "--columns", "x1", "x1"], "x1"),
     ])
     def test_unknown_column_is_data_error(self, tmp_path, capsys, flags, column):
         data = tmp_path / "mvn.csv"
@@ -387,7 +388,8 @@ class TestBenchmarkCommand:
         ("epsilon", 0), ("k", "3"), ("max_iterr", 2), ("rho", 2), ("k_grid", [0]),
         ("folds", 0), ("max_iter", 2.5), ("rates", ["x"]), ("methods", ["sparkle"]),
         ("seeds", [1.7]), ("seeds", [True]), ("dataset", {"schema": "x.cfg"}),
-        ("timing", False),
+        ("timing", False), ("methods", ["gknn", "gknn"]), ("rates", [0.1, 0.1]),
+        ("seeds", [1, 1]),
     ])
     def test_bad_spec_value_is_data_error(self, tmp_path, capsys, key, value):
         (tmp_path / "spec.json").write_text(json.dumps({**BASE_SPEC, key: value}))
@@ -404,6 +406,9 @@ class TestBenchmarkCommand:
         ({"mcar_columns": [99]}, "99"),
         ({"dataset": "mvn", "mechanism": "mar", "mar_targets": [99], "mar_predictors": [0]}, "99"),
         ({"dataset": "mvn", "mechanism": "mar", "mar_targets": [4], "mar_predictors": [-9]}, "-9"),
+        ({"mcar_columns": ["x1", "x1"]}, "'x1'"),
+        ({"dataset": "mvn", "mechanism": "mar", "mar_targets": ["x4"], "mar_predictors": ["x1", 3]},
+         "'x4'"),
     ])
     def test_unknown_spec_column_is_data_error(self, tmp_path, capsys, columns, named):
         spec = {**BASE_SPEC, "methods": ["cgknn"], **columns}

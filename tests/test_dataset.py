@@ -50,12 +50,13 @@ class TestValidate:
         assert np.allclose(report.missing_rates, [0.0, 0.0])
 
     def test_missing_cell_with_observed_mask_bit(self):
+        # NaN is the one marker of a gap: a mask that disagrees with the
+        # cells, either way round, is refused before validate could see it
         values = np.array([[np.nan, 2.0], [3.0, 4.0]])
-        mask = np.array([[True, True], [True, True]])
-        ds = build_dataset(values, mask=mask)
-        report = validate(ds)
-        assert len(report.violations) == 1
-        assert report.violations[0].kind == "mask-inconsistency"
+        schema = build_dataset(values).schema
+        for wrong in ([[True, True], [True, True]], [[False, False], [True, True]]):
+            with pytest.raises(DataError, match="disagrees"):
+                Dataset(schema, values, np.array(wrong))
 
     def test_out_of_range_level_index(self):
         ds = build_dataset([[0.0], [5.0]], categorical_levels={0: ("a", "b")})
@@ -188,6 +189,16 @@ class TestDatasetInvariants:
         schema = Schema((Feature("a"), Feature("b")))
         with pytest.raises(DataError):
             Dataset(schema, np.zeros((2, 3)), np.ones((2, 3), dtype=bool))
+
+    def test_mask_is_read_off_the_nan_cells(self):
+        values = np.array([[np.nan, 2.0], [3.0, np.nan]])
+        schema = build_dataset(values).schema
+        ds = Dataset(schema, values)
+        assert ds.mask.tolist() == [[False, True], [True, False]]
+        assert Dataset(schema, values, ~np.isnan(values)).mask.tolist() == ds.mask.tolist()
+        assert ds.with_values(np.zeros((2, 2))).mask.all()
+        with pytest.raises(ValueError):
+            ds.mask[0, 0] = True
 
     def test_equals_treats_nan_as_equal(self):
         a = build_dataset([[np.nan, 1.0]])

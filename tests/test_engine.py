@@ -417,7 +417,7 @@ def reference_sweep(state):
     the row deleted, in place; returns each row's neighbors."""
     ds, k = state.dataset, state.k
     neighbors = {}
-    for r in map(int, state.incomplete_rows):
+    for r in state.pools:
         pool = np.delete(np.arange(ds.n), r)
         if state.plan.per_class_pool:
             rows = np.flatnonzero(ds.labels == ds.labels[r])
@@ -436,8 +436,7 @@ def reference_sweep(state):
 
 
 def with_gaps(ds, holes):
-    values = np.where(holes, NAN, ds.values)
-    return Dataset(ds.schema, values, ~holes, ds.labels)
+    return ds.with_values(np.where(holes, NAN, ds.values))
 
 
 def sweep_table(rng, gaps):
@@ -636,10 +635,9 @@ class TestRunImpute:
         assert res.iterations == 0 and res.chosen_k == 0
 
     def test_validation_failure_rejected(self):
-        values = np.array([[np.nan, 1.0], [1.0, 2.0]])
-        mask = np.array([[True, True], [True, True]])
-        ds = build_dataset(values, mask=mask)
-        with pytest.raises(DataError):
+        # code 5 names no level of a two-level column
+        ds = build_dataset([[np.nan, 1.0], [5.0, 2.0]], categorical_levels={0: ("a", "b")})
+        with pytest.raises(DataError, match="bad-level-index"):
             run_impute(ds, ImputeConfig(method="iknn", k=1))
 
 
@@ -656,7 +654,7 @@ class TestOracleEquivalence:
                 state = prepare(ds, config)
                 result = sweep(state)
                 oracle_nbrs, oracle_vals = oracle_one_iteration(
-                    ds, method, k, rho=0.5, weights=state.weights
+                    ds, method, k, rho=0.5, weights=state.metric.weights
                 )
                 for row, nbrs in result.neighbors.items():
                     assert list(nbrs) == [i for i, _ in oracle_nbrs[row]], (

@@ -115,12 +115,13 @@ class TestFitTransform:
 
     @pytest.mark.parametrize("param", [
         {"n_neighbors": 2.5}, {"k_grid": (1.5, 3)}, {"max_iter": 2.5}, {"rho": 2.0},
-        {"method": "sparkle"},
+        {"method": "sparkle"}, {"categorical_features": (5,)},
+        {"categorical_features": (-1,)}, {"categorical_features": (1.7,)},
     ])
     def test_bad_parameters_rejected_at_fit(self, rng, param):
         _, holed, y = _toy(rng)
         with pytest.raises(DataError):
-            GreyKNNImputer(categorical_features=(2,), **param).fit(holed, y)
+            GreyKNNImputer(**{"categorical_features": (2,), **param}).fit(holed, y)
 
     def test_bad_categorical_codes_rejected(self):
         est = GreyKNNImputer(categorical_features=(0,), n_neighbors=1)

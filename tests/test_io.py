@@ -198,7 +198,7 @@ def reference_csv(dataset, token):
         row = []
         for j, feat in enumerate(features):
             cell = dataset.values[i, j]
-            if not dataset.mask[i, j] or np.isnan(cell):
+            if np.isnan(cell):
                 row.append(token)
             elif feat.is_categorical:
                 row.append(feat.levels[int(cell)])
@@ -236,13 +236,14 @@ def csv_datasets(draw):
             code = st.integers(0, len(levels) - 1).map(float) | st.just(np.nan)
             cells.append(draw(st.lists(code, min_size=n, max_size=n)))
     values = np.array(cells, dtype=float).T.reshape(n, p)
-    mask = np.array(draw(st.lists(st.booleans(), min_size=n * p, max_size=n * p))).reshape(n, p)
+    holes = draw(st.lists(st.booleans(), min_size=n * p, max_size=n * p))
+    values[np.array(holes, dtype=bool).reshape(n, p)] = np.nan
     labels, class_column, class_levels = None, None, ()
     if draw(st.booleans()):
         class_column = names[p]
         class_levels = tuple(draw(st.lists(_TRICKY, min_size=1, max_size=3, unique=True)))
         labels = draw(st.lists(st.integers(0, len(class_levels) - 1), min_size=n, max_size=n))
-    dataset = Dataset(Schema(tuple(features), class_column, class_levels), values, mask, labels)
+    dataset = Dataset(Schema(tuple(features), class_column, class_levels), values, labels=labels)
     token = draw(_TRICKY)
     return dataset, SchemaConfig(tuple(columns), class_column, (token,)), token
 
@@ -266,7 +267,7 @@ class TestWriteCsvBytes:
         assume(token not in fields)
         text = write_csv(dataset, token)
         back = read_csv(text, config)
-        observed = dataset.mask & ~np.isnan(dataset.values)
+        observed = dataset.mask
         assert np.array_equal(back.mask, observed)
         assert back.values[observed].tobytes() == dataset.values[observed].tobytes()
         assert write_csv(back, token) == text

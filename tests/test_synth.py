@@ -44,7 +44,7 @@ class TestGenCubes:
 class TestRandomCorrelation:
     def test_positive_definite_unit_diagonal(self):
         for seed in range(20):
-            corr = _random_correlation(5, make_rng(seed))
+            corr = _random_correlation(5, make_rng(seed, "generate"))
             assert np.allclose(corr, corr.T)
             assert np.allclose(np.diag(corr), 1.0)
             assert np.linalg.eigvalsh(corr).min() > 0
@@ -103,6 +103,11 @@ class TestInjectMcar:
         with pytest.raises(DataError):
             inject_mcar(gen_cubes(0), ["x1"], 1.5, 0)
 
+    @pytest.mark.parametrize("columns", [["x1", "x1"], ["x1", 0], ["x2", -22]])
+    def test_column_named_twice_rejected(self, columns):
+        with pytest.raises(DataError, match="named twice"):
+            inject_mcar(gen_cubes(1), columns, 0.3, 5)
+
 
 class TestInjectMar:
     def test_monotone_dependence_on_predictor(self):
@@ -146,12 +151,20 @@ class TestInjectMar:
         out = inject_mar(ds, spec, 11)
         assert np.array_equal(out.values[out.mask], ds.values[out.mask])
 
+    @pytest.mark.parametrize("targets, predictors", [
+        ((1,), (1, 2)), ((3,), (0, -2)), ((3,), ("x4", 0)), ((3, "x4"), (0,)), ((3,), (0, "x1")),
+    ])
+    def test_overlapping_targets_rejected(self, targets, predictors):
+        # -2 and "x4" both name column 3; a column named twice is refused
+        # whichever way it is named
+        ds, spec = gen_mvn_mar(1)
+        coefficients = ((1.0,) * len(predictors),) * len(targets)
+        overlap = replace(spec, targets=targets, predictors=predictors, coefficients=coefficients)
+        with pytest.raises(DataError, match="named twice"):
+            inject_mar(ds, overlap, 1)
+
 
 class TestMarSpecInvariants:
-    def test_overlapping_targets_rejected(self):
-        with pytest.raises(DataError):
-            MarSpec((1,), (1, 2), ((0.0, 0.0),), target_rate=0.1)
-
     def test_rate_bounds(self):
         with pytest.raises(DataError):
             MarSpec((3,), (0,), ((1.0,),), target_rate=1.2)
