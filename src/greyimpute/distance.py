@@ -22,11 +22,12 @@ When only each query's k nearest candidates are wanted and the grey
 weights sit on a few features, :meth:`GreyMetric.screen` finds them
 without scoring every pair in full (partial-distance elimination, Bei &
 Gray 1985). Each query's bounds come from candidate columns sorted once;
-a partial grade over the heavy features (weight at least 1/p) ranks all
-candidates; a candidate is scored in full only if its partial grade plus
-the total light weight could still reach the k-th best partial grade.
-Coefficients lie in [0, 1], so no pruned candidate can enter the k
-nearest, and survivors are scored by the same per-feature code as
+a float32 partial grade over the heavy features (weight at least 1/p)
+ranks all candidates; a candidate is scored in full only if its partial
+grade plus the total light weight, and a proven bound on the partial's
+rounding, could still reach the k-th best partial grade. Coefficients
+lie in [0, 1], so no pruned candidate can enter the k nearest, and
+survivors are scored by the same per-feature float64 code as
 ``distances``, bit for bit.
 
 Missing cells are NaN throughout; candidate rows must be complete.
@@ -48,6 +49,9 @@ __all__ = [
 
 # bytes of float64 work arrays one kernel call may hold
 BLOCK_BYTES = 16 * 2**20
+
+# unit roundoff of float32, the precision of the screen's partial grades
+U32 = 2.0**-24
 
 
 def block_rows(width: int, arrays: int) -> int:
@@ -156,12 +160,12 @@ class GreyMetric:
         self.rho = rho
         self.weights = None if weights is None else np.asarray(weights, float)
 
-    def _grade(self, g, qnan, dmin, rdmax, features=slice(None)):
-        """Weighted grey grade of the ``features`` whose gaps ``g`` (features
-        first) holds, summed left to right; overwrites ``g``. ``qnan`` marks
-        the missing query cells (``g.shape[:2]``); ``dmin``/``rdmax`` (the
-        query's dmin and rho*dmax) broadcast against ``g[0]``."""
-        cat = self.categorical[features]
+    def _grade(self, g, qnan, dmin, rdmax):
+        """Weighted grey grade from the gaps ``g`` (features first), summed
+        left to right; overwrites ``g``. ``qnan`` marks the missing query
+        cells (``g.shape[:2]``); ``dmin``/``rdmax`` (the query's dmin and
+        rho*dmax) broadcast against ``g[0]``."""
+        cat = self.categorical
         match = g[cat] == 0.0
         g += rdmax
         # categorical slabs take this formula too (and may divide by zero)
@@ -177,7 +181,7 @@ class GreyMetric:
         g[qnan] = 0.0
         p = len(self.categorical)
         w = np.full(p, 1.0 / p) if self.weights is None else self.weights
-        g *= w[features].reshape((-1,) + (1,) * (g.ndim - 1))
+        g *= w.reshape((-1,) + (1,) * (g.ndim - 1))
         grade = np.zeros(g.shape[1:])
         for gj in g:  # features left to right
             grade += gj
@@ -194,12 +198,12 @@ class GreyMetric:
     def screen(self, candidates: np.ndarray) -> "GreyScreen | None":
         """A :class:`GreyScreen` over ``candidates``, or None when the
         weights give it nothing safe or cheap to prune on. It needs finite,
-        non-negative weights; heavy features (weight at least 1/p), no more
-        than a quarter of them, since the partial grade costs their share
-        of a full kernel call; and light ones that weigh less than 1/p
-        together."""
+        non-negative weights with a finite sum; heavy features (weight at
+        least 1/p), no more than a quarter of them, since the partial grade
+        costs their share of a full kernel call; and light ones that weigh
+        less than 1/p together."""
         w = self.weights
-        if w is None or not (np.isfinite(w).all() and (w >= 0.0).all()):
+        if w is None or not (np.isfinite(w).all() and (w >= 0.0).all() and np.isfinite(w.sum())):
             return None
         p = len(w)
         heavy = w >= 1.0 / p
@@ -215,16 +219,46 @@ class GreyScreen:
     ranks them, scoring in full only the candidates a partial grade over
     the heavy features cannot rule out.
 
-    A full grade is at most the partial grade plus the light weight
-    (coefficients lie in [0, 1]), and the k candidates with the best
-    partial grades have full grades at least the k-th best partial grade
-    T. So a candidate whose partial grade plus the light weight falls
-    below T cannot be among the k nearest. The cut sits :data:`MARGIN`
-    of the total weight below that. Rounding moves a p-term sum by about
-    p * eps of the total weight, far less than the margin for any p below
-    a million, so a pruned candidate stays strictly farther than k
-    survivors after rounding too and no (distance, index) tie is lost.
-    The margin is part of that argument, not a tuning knob.
+    Grades here are shares of the total weight W, so they lie in [0, 1]
+    whatever the weights' magnitude. A full grade is at most the partial
+    grade plus the light share (coefficients lie in [0, 1]), and the k
+    candidates with the best partial grades have full grades at least the
+    k-th best partial grade T. So a candidate whose partial grade plus the
+    light share falls below T cannot be among the k nearest.
+
+    The partial grade is computed in float32, so the cut also drops by
+    2e, where e bounds |computed - exact partial| for the query: the k
+    best computed grades may each read e high and a pruned one e low. Let
+    u = 2**-24, N = dmin + rho*dmax and R = rho*dmax for the query. A
+    continuous heavy feature of share s adds s*N / (g + R), where the gap
+    g = |c - q| is at least dmin, so the sum is at least N. Float32
+    rounds q and c (by u(|q| + |c|) together), the gap, the sum and the
+    quotient once each, and s*N once. With B = u(|q| + max|c|) / N the
+    denominator is off by a factor within 1 +- (B + 2u) and the term by
+    at most s(B + 5u) / (1 - B - 2u) <= s(2B + 32u) while 2B + 32u < 1:
+    the left side is convex in B and below the right at B = 0 and 1/2.
+    Where 2B + 32u >= 1, or N lies outside [2**-100, 2**100] (float32
+    could under- or overflow), the term is computed as exactly 0 and its
+    whole share is the allowance; so is it, for instance, where
+    dmin + rho*dmax = 0. A missing query cell gives 0 both ways. A
+    categorical feature compares codes exactly and adds its share rounded
+    to float32 (off by u*s). Adding the h heavy terms, each at most twice
+    its share, costs at most 2hu, the categorical shares at most hu, and
+    a numerator or term below float32's normal range less than u each,
+    so with 4hu for these
+
+        e = sum over the observed continuous heavy features j of
+            s_j * min(1, 2 B_j + 32u)  +  4hu.
+
+    Survivors are scored in float64 by the metric's own code and ranked
+    by (distance, index). A pruned candidate's exact full grade is below
+    each of k survivors' by more than the margin, :data:`MARGIN` of
+    max(W, 1) in weight. Rounding moves a p-term float64 grade by about
+    p * eps * W and the distance 1 - grade by eps * max(1, W), far less
+    than the margin for any p below a million, so a pruned candidate
+    stays strictly farther than k survivors and no (distance, index) tie
+    is lost. The margin and the allowance are part of that argument, not
+    tuning knobs.
     """
 
     MARGIN = 1e-9
@@ -232,26 +266,63 @@ class GreyScreen:
     def __init__(self, metric: GreyMetric, candidates: np.ndarray, heavy, light: float):
         self.metric = metric
         self.candidates = np.asarray(candidates, dtype=float)
-        self.heavy = heavy
         self.continuous = ~metric.categorical
         self.columns = np.sort(self.candidates[:, self.continuous], axis=0).T
-        self.slack = light + self.MARGIN * float(metric.weights.sum())
+        total = float(metric.weights.sum())
+        self.slack = (light + self.MARGIN * max(total, 1.0)) / total
+        self.summing = 4 * len(heavy) * U32
+        share = metric.weights[heavy] / total
+        cat = metric.categorical[heavy]
+        self.cont, self.cont_share = heavy[~cat], share[~cat]
+        with np.errstate(over="ignore"):  # a cell past float32's range only saturates
+            self.cont_cols = np.ascontiguousarray(self.candidates[:, self.cont].T, np.float32)
+        self.cont_max = np.abs(self.candidates[:, self.cont]).max(axis=0)
+        self.cat, self.cat_share = heavy[cat], share[cat].astype(np.float32)
+        self.cat_cols = np.ascontiguousarray(self.candidates[:, self.cat].T)
+
+    def _partial(self, queries, top, rdmax):
+        """The float32 partial grade share of each query against every
+        candidate, (queries x candidates), and each query's bound e on its
+        rounding error; ``top`` is dmin + rho*dmax, ``rdmax`` rho*dmax."""
+        acc = np.zeros((len(queries), len(self.candidates)), np.float32)
+        term = np.empty_like(acc)
+        err = np.full(len(queries), self.summing)
+        inside = (top >= 2.0**-100) & (top <= 2.0**100)
+        for col, cmax, share, q in zip(
+            self.cont_cols, self.cont_max, self.cont_share, queries[:, self.cont].T
+        ):
+            bound = 2.0 * U32 * (np.abs(q) + cmax) / np.where(inside, top, 1.0) + 32.0 * U32
+            ok = inside & (bound < 1.0)  # False where q is NaN
+            err += share * np.where(ok, bound, ~np.isnan(q))
+            x = np.where(ok, q, 0.0).astype(np.float32)
+            num = np.where(ok, share * top, 0.0).astype(np.float32)
+            r = np.where(ok, rdmax, 1.0).astype(np.float32)
+            np.subtract(col, x[:, None], out=term)
+            np.abs(term, out=term)
+            term += r[:, None]
+            with np.errstate(divide="ignore", invalid="ignore"):  # only at an own row
+                np.divide(num[:, None], term, out=term)
+            acc += term
+        for col, share, q in zip(self.cat_cols, self.cat_share, queries[:, self.cat].T):
+            np.add(acc, share, out=acc, where=np.equal(col, q[:, None]))
+        return acc, err
 
     def nearest(self, queries: np.ndarray, k: int, own=None):
         """(distances, indices) of each query's k nearest candidates other
         than its ``own``, ascending by (distance, index); both (queries x k)."""
-        metric, heavy = self.metric, self.heavy
+        metric = self.metric
         dmin, dmax = _sorted_bounds(queries, self.columns, self.continuous, own is not None)
         rdmax = metric.rho * dmax
-        qnan = np.isnan(queries).T
-        partial = metric._grade(
-            _gaps(queries[:, heavy], self.candidates[:, heavy]),
-            qnan[heavy], dmin[:, None], rdmax[:, None], heavy,
-        )
+        partial, err = self._partial(queries, dmin + rdmax, rdmax)
         _mark_own(partial, own, -np.inf)
         n = partial.shape[1]
-        cut = np.partition(partial, n - k, axis=1)[:, n - k] - self.slack
-        qi, ci = np.nonzero(partial >= cut[:, None])
+        cut = np.partition(partial, n - k, axis=1)[:, n - k] - (self.slack + 2.0 * err)
+        # the smallest float32 at or above each cut keeps exactly the same pairs
+        cut32 = cut.astype(np.float32)
+        cut32 = np.where(cut32 < cut, np.nextafter(cut32, np.float32(np.inf)), cut32)
+        qi, ci = np.divmod(np.flatnonzero(partial >= cut32[:, None]), n)
+        del partial
+        qnan = np.isnan(queries).T
         d = np.empty(len(qi))
         # the gaps and the two gathered row blocks, p floats each per pair
         step = block_rows(1, 3 * len(metric.categorical) + 2)
@@ -260,7 +331,7 @@ class GreyScreen:
             g = np.subtract(self.candidates[b].T, queries[a].T)
             grade = metric._grade(np.abs(g, out=g), qnan[:, a], dmin[a], rdmax[a])
             d[s:s + step] = np.subtract(1.0, grade, out=grade)
-        order = np.lexsort((ci, d, qi))
+        order = np.lexsort((d, qi))  # stable: ties stay in candidate order
         counts = np.bincount(qi, minlength=len(queries))
         take = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
         return d[take], ci[take]

@@ -318,13 +318,14 @@ def infer_schema(
 
 def _plain(obj):
     """Map a payload onto JSON's value space: NaN -> None, +-inf ->
-    "Infinity"/"-Infinity", numpy integers and floats -> Python ones."""
+    "Infinity"/"-Infinity", numpy integers, booleans and floats -> Python
+    ones."""
     if isinstance(obj, dict):
         return {key: _plain(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(value) for value in obj]
-    if isinstance(obj, np.integer):
-        return int(obj)
+    if isinstance(obj, (np.integer, np.bool_)):
+        return obj.item()
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
         if math.isnan(x):

@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greyimpute.distance import GreyMetric, HeomMetric, _bounds, _gaps, _sorted_bounds
-from greyimpute.engine import _nearest, _ranked_blocks
+from greyimpute.dataset import Dataset, normalize
+from greyimpute.distance import GreyMetric, GreyScreen, HeomMetric, _bounds, _gaps, _sorted_bounds
+from greyimpute.engine import DEFAULT_K_GRID, _cv_errors, _nearest, _ranked_blocks
+from greyimpute.folds import stratified_folds
+from greyimpute.relevance import dataset_class_weights
+from greyimpute.synth import gen_cubes
 
 from _oracles import oracle_bounds, oracle_grg, oracle_heom
 
@@ -291,12 +295,76 @@ def screened_case(draw):
     return candidates, queries, cat, weights, rho, k
 
 
+@st.composite
+def adversarial_case(draw):
+    """Arbitrary doubles where float32 loses the order float64 keeps:
+    continuous columns clustered around an anchor at spacings of one
+    float64 ulp, 1e-7 relative (float32 resolution) or 1e-4, query cells
+    between cluster values or far outside [0, 1] (up to 1e300), NaN query
+    cells, categorical codes, any nonempty heavy set, weights scaled by
+    1e-30 to 1e30, and queries that are candidate rows with holes
+    (``own``) or not."""
+    p = draw(st.integers(1, 6))
+    n = draw(st.integers(2, 30))
+    m = draw(st.integers(1, 5))
+    cat = np.array(draw(st.lists(st.booleans(), min_size=p, max_size=p)))
+    anchor = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=p, max_size=p)))
+    step = np.array([
+        draw(st.sampled_from([np.spacing(a), 1e-7 * abs(a), 1e-4])) for a in anchor
+    ])
+    # cells on a column's cluster mostly, else anywhere
+    clustered = st.sampled_from([True, True, True, False])
+    near = st.integers(0, 6)
+    candidates = np.empty((n, p))
+    for (i, j) in np.ndindex(n, p):
+        if cat[j]:
+            candidates[i, j] = draw(st.integers(0, 3))
+        elif draw(clustered):
+            candidates[i, j] = anchor[j] + draw(near) * step[j]
+        else:
+            candidates[i, j] = draw(st.floats(-3.0, 3.0))
+    own = None
+    if draw(st.booleans()):
+        own = np.array(draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)))
+        queries = candidates[own].copy()
+    else:
+        far = st.one_of(st.floats(-50.0, 50.0), st.floats(-1e300, 1e300))
+        queries = np.empty((m, p))
+        for (i, j) in np.ndindex(m, p):
+            if cat[j]:
+                queries[i, j] = draw(st.integers(0, 4))
+            elif draw(clustered):
+                queries[i, j] = anchor[j] + (draw(near) - 0.5) * step[j]
+            else:
+                queries[i, j] = draw(far)
+    holes = draw(st.lists(st.sampled_from([False] * 5 + [True]), min_size=m * p, max_size=m * p))
+    queries[np.array(holes).reshape(m, p)] = NAN
+    heavy = np.array(draw(st.lists(st.booleans(), min_size=p, max_size=p)))
+    heavy[draw(st.integers(0, p - 1))] = True
+    weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=p, max_size=p)))
+    weights[heavy] += 1.0
+    weights[~heavy] *= draw(st.sampled_from([0.0, 1e-6, 1e-3, 0.1]))
+    weights *= 10.0 ** draw(st.integers(-30, 30))
+    rho = draw(st.sampled_from([0.0, 1e-12, 0.5, 1.0]))
+    k = draw(st.integers(1, n - 1 if own is not None else n))
+    return candidates, queries, own, cat, heavy, weights, rho, k
+
+
 class CountingGrey(GreyMetric):
     calls = 0
 
     def distances(self, queries, candidates, own=None):
         self.calls += 1
         return super().distances(queries, candidates, own)
+
+
+class GradedPairs(GreyMetric):
+    """Counts the (query, candidate) pairs given a full grade."""
+    pairs = 0
+
+    def _grade(self, g, *rest):
+        self.pairs += g[0].size
+        return super()._grade(g, *rest)
 
 
 class TestScreen:
@@ -309,6 +377,20 @@ class TestScreen:
         assert screen is not None
         dist, nearest = screen.nearest(queries, k)
         d = metric.distances(queries, candidates)
+        expected = _nearest(d, k)
+        assert np.array_equal(nearest, expected)
+        assert dist.tobytes() == np.take_along_axis(d, expected, axis=1).tobytes()
+
+    @given(adversarial_case())
+    @settings(max_examples=500, deadline=None)
+    def test_float32_partial_grade_loses_no_neighbor(self, case):
+        # built directly, the screen must be exact for any heavy set and
+        # any weight scale, not only where GreyMetric.screen engages it
+        candidates, queries, own, cat, heavy, weights, rho, k = case
+        metric = GreyMetric(cat, rho, weights)
+        screen = GreyScreen(metric, candidates, np.flatnonzero(heavy), float(weights[~heavy].sum()))
+        dist, nearest = screen.nearest(queries, k, own)
+        d = metric.distances(queries, candidates, own)
         expected = _nearest(d, k)
         assert np.array_equal(nearest, expected)
         assert dist.tobytes() == np.take_along_axis(d, expected, axis=1).tobytes()
@@ -339,6 +421,7 @@ class TestScreen:
         np.array([0.5, 0.375, 0.0625, 0.0625, 0.0, 0.0, 0.0, 0.0]),  # light ones weigh 1/p
         np.array([0.4, 0.3, 0.25, 0.01, 0.01, 0.01, 0.01, 0.01]),  # three heavy of eight
         np.zeros(8),  # nothing heavy
+        np.array([1e308, 1e308, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]),  # the sum overflows
     ])
     def test_weights_without_a_safe_screen_take_the_full_path(self, rng, weights):
         cat = np.array([False, True] + [False] * 6)
@@ -348,6 +431,20 @@ class TestScreen:
         if weights is None or np.isfinite(weights).all():  # NaN grades cannot be ranked
             list(_ranked_blocks(metric, c[:5], c, 3))
             assert metric.calls == 1
+
+    def test_pruning_keeps_its_power_on_stacked_cubes(self):
+        # k selection on 1200 stacked cube rows under class-MI weights:
+        # 5.62% of the pairs were scored in full with a float64 partial
+        # grade; an allowance that switched the screen off would score
+        # them all
+        parts = [gen_cubes(seed) for seed in (1, 2, 3)]
+        stacked = Dataset(parts[0].schema, np.vstack([c.values for c in parts]),
+                          labels=np.concatenate([c.labels for c in parts]))
+        unit = normalize(stacked)[0]
+        metric = GradedPairs(unit.schema.categorical_mask, 0.5, dataset_class_weights(unit)[0])
+        _cv_errors(unit.values, unit.labels, metric, DEFAULT_K_GRID, 10, 0)
+        pairs = sum(len(train) * len(held) for train, held in stratified_folds(unit.labels, 10, 0))
+        assert metric.pairs < 2 * 0.0562 * pairs
 
     def test_few_heavy_features_and_light_rest_engage_the_screen(self, rng):
         cat = np.array([False, True] + [False] * 6)

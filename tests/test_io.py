@@ -13,6 +13,7 @@ from greyimpute.dataset import Dataset, Feature, Schema, validate
 from greyimpute.io import (
     DEFAULT_MISSING_TOKENS,
     SchemaConfig,
+    _plain,
     format_json,
     infer_schema,
     read_csv,
@@ -429,3 +430,64 @@ class TestFormatJson:
             {"error": "line1\nline2\ttab"},
         ):
             assert json.loads(format_json(obj)) == obj
+
+
+def _strict_json(text):
+    """Parse as standard JSON: NaN and Infinity are not JSON tokens."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+# control and non-ASCII characters among them
+json_text = st.text(
+    st.characters(min_codepoint=0, max_codepoint=0x2FFFF, exclude_categories=("Cs",))
+)
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),  # NaN and +-inf among them
+    json_text,
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.integers(-2**31, 2**31 - 1).map(np.int32),
+    st.booleans().map(np.bool_),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+)
+json_payloads = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(json_text, inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+class TestJsonWritersProperty:
+    @given(json_payloads)
+    @settings(max_examples=300, deadline=None)
+    def test_format_json_parses_back_to_the_plain_image(self, obj):
+        assert _strict_json(format_json(obj)) == _plain(obj)
+
+    @given(st.lists(
+        st.tuples(json_text, st.floats(0.0, 1.0), st.integers(0, 2**31),
+                  st.dictionaries(json_text.filter(lambda key: key not in (
+                      "method", "missing_rate", "seed", "rmse", "classification_accuracy",
+                      "baseline_accuracy")), json_payloads, max_size=4)),
+        max_size=5,
+        unique_by=lambda run: (run[0], repr(run[1]), run[2]),
+    ))
+    @settings(max_examples=150, deadline=None)
+    def test_write_report_parses_back_to_the_plain_image(self, runs):
+        rows = [{"method": m, "missing_rate": r, "seed": s, **payload} for m, r, s, payload in runs]
+        report = _strict_json(write_report(rows))
+        assert report["report_version"] == 1
+        for method, rate, seed, payload in runs:
+            cell = report["runs"][method][repr(rate)]
+            assert cell["seeds"][str(seed)] == _plain(payload)
+            assert cell["aggregate"]["seeds"] == sum(
+                (m, repr(r)) == (method, repr(rate)) for m, r, _, _ in runs
+            )
