@@ -100,12 +100,12 @@ class HeomMetric:
         return np.sqrt(acc, out=acc)
 
 
-def _bounds(gaps: np.ndarray, categorical: np.ndarray, own=None):
-    """Each query's min and max gap over its observed continuous cells, or
-    the (0, 1) sentinel when it has none, keeping grey coefficients finite.
-    fmin/fmax skip the NaN rows of missing query cells. An own row's gaps,
-    0 where observed, cannot raise dmax; dmin skips them (set to +inf)."""
-    cont = ~categorical[:, None]
+def _bounds(gaps: np.ndarray, categorical, own=None):
+    """Each query's min and max gap over its observed continuous cells (all
+    if ``categorical`` is None), or the (0, 1) sentinel, which keeps grey
+    coefficients finite, if it has none. fmin/fmax skip missing query cells'
+    NaN rows. An own row's gaps (0) cannot raise dmax; dmin skips them (+inf)."""
+    cont = True if categorical is None else ~categorical[:, None]
     dmax = np.fmax.reduce(gaps.max(axis=2), axis=0, initial=np.nan, where=cont)
     _mark_own(gaps, own, np.inf)
     dmin = np.fmin.reduce(gaps.min(axis=2), axis=0, initial=np.nan, where=cont)
@@ -159,14 +159,17 @@ class GreyMetric:
         self.categorical = np.asarray(categorical, dtype=bool)
         self.rho = rho
         self.weights = None if weights is None else np.asarray(weights, float)
+        p = len(self.categorical)  # kernel constants; _cat is None when no feature is categorical
+        self._cat = self.categorical if self.categorical.any() else None
+        self._w = np.full(p, 1.0 / p) if self.weights is None else self.weights
 
     def _grade(self, g, qnan, dmin, rdmax):
         """Weighted grey grade from the gaps ``g`` (features first), summed
         left to right; overwrites ``g``. ``qnan`` marks the missing query
         cells (``g.shape[:2]``); ``dmin``/``rdmax`` (the query's dmin and
         rho*dmax) broadcast against ``g[0]``."""
-        cat = self.categorical
-        match = g[cat] == 0.0
+        cat = self._cat
+        match = None if cat is None else g[cat] == 0.0
         g += rdmax
         # categorical slabs take this formula too (and may divide by zero)
         # until their matches overwrite them
@@ -177,11 +180,10 @@ class GreyMetric:
         flat = rdmax == 0.0
         if flat.any():
             np.fmin(g, 1.0, out=g, where=flat)
-        g[cat] = match
+        if match is not None:
+            g[cat] = match
         g[qnan] = 0.0
-        p = len(self.categorical)
-        w = np.full(p, 1.0 / p) if self.weights is None else self.weights
-        g *= w.reshape((-1,) + (1,) * (g.ndim - 1))
+        g *= self._w.reshape((-1,) + (1,) * (g.ndim - 1))
         grade = np.zeros(g.shape[1:])
         for gj in g:  # features left to right
             grade += gj
@@ -189,7 +191,7 @@ class GreyMetric:
 
     def distances(self, queries: np.ndarray, candidates: np.ndarray, own=None) -> np.ndarray:
         g = _gaps(queries, candidates)
-        dmin, dmax = _bounds(g, self.categorical, own)
+        dmin, dmax = _bounds(g, self._cat, own)
         rdmax = (self.rho * dmax)[:, None]
         grade = self._grade(g, np.isnan(queries).T, dmin[:, None], rdmax)
         _mark_own(grade, own, -np.inf)

@@ -13,7 +13,8 @@ Sweeps update the iterate in place over a fixed ascending row order, so a
 run is fully deterministic and later rows benefit from earlier rows'
 refreshed estimates within the same pass. Observed cells are never
 touched: the output matrix is composed from the original input plus the
-imputed cells only.
+imputed cells only. One block cell estimator (:func:`_estimate_rows`) fills
+the gaps of the sweeps, a row at a time, and of :func:`impute_test`, a block.
 
 Method variants differ along four orthogonal axes captured by
 :class:`MethodPlan`: candidate pool (whole matrix vs same class), metric
@@ -31,12 +32,7 @@ import numpy as np
 
 from .dataset import Dataset, RangeTable, normalize, validate
 from .distance import GreyMetric, HeomMetric, block_rows
-from .errors import (
-    DataError,
-    InsufficientCandidatesError,
-    SchemaMismatchError,
-    TooFewRowsError,
-)
+from .errors import DataError, InsufficientCandidatesError, SchemaMismatchError, TooFewRowsError
 from .folds import stratified_folds
 from .relevance import MIEstimate, dataset_class_weights, feature_feature_weights
 
@@ -320,6 +316,7 @@ class RunState:
     k: int
     mi_estimates: tuple[MIEstimate, ...] | None
     pools: dict[int, np.ndarray]  # incomplete row -> its pool, rows ascending
+    gaps: dict[int, tuple]  # incomplete row -> its gap cells as a block of one
     used_pool_fallback: bool
     fixed: dict[int, tuple] | None = None  # see _rank_fixed
 
@@ -328,11 +325,6 @@ class RunState:
 class SweepResult:
     max_change: float
     neighbors: dict[int, np.ndarray]  # row -> donor indices, nearest first
-
-
-def _build_metric(plan: MethodPlan, schema, rho: float, weights):
-    cat = schema.categorical_mask
-    return GreyMetric(cat, rho, weights) if plan.metric == "grey" else HeomMetric(cat, weights)
 
 
 def _require_valid(dataset: Dataset) -> None:
@@ -350,8 +342,9 @@ def _checked_weights(weights, p: int) -> np.ndarray:
         out = np.asarray(weights, dtype=float)
     except (TypeError, ValueError):
         out = None
-    if out is None or out.shape != (p,) or not (np.isfinite(out) & (out >= 0)).all():
-        raise DataError(f"weights_override must be {p} finite, non-negative numbers")
+    with np.errstate(over="ignore"):  # a weight sum past the float range is refused too
+        if out is None or out.shape != (p,) or not (out >= 0).all() or np.isinf(out.sum()):
+            raise DataError(f"weights_override must be {p} finite, non-negative numbers")
     return out
 
 
@@ -383,7 +376,8 @@ def prepare(
     elif plan.weight_source == "feature_mi":
         weights = feature_feature_weights(initial)
 
-    metric = _build_metric(plan, dataset.schema, config.rho, weights)
+    cat, rho = dataset.schema.categorical_mask, config.rho
+    metric = GreyMetric(cat, rho, weights) if plan.metric == "grey" else HeomMetric(cat, weights)
 
     incomplete = np.nonzero(~dataset.mask.all(axis=1))[0]
     if not plan.iterative:
@@ -407,6 +401,7 @@ def prepare(
         k=k,
         mi_estimates=mi_estimates,
         pools=pools,
+        gaps={r: _gap_cells(dataset.mask[r:r + 1], metric.categorical) for r in pools},
         used_pool_fallback=fallback,
     )
 
@@ -452,17 +447,16 @@ def _rank_fixed(state: RunState) -> dict[int, tuple]:
     return fixed
 
 
-def _estimate_row(
-    donors: np.ndarray,
-    idx: np.ndarray,
-    dist: np.ndarray,
-    cols: np.ndarray,
-    schema,
-    weighted: bool,
-) -> list[float]:
-    """Estimate the cells ``cols`` of one row from the rows ``idx`` of
-    ``donors`` (normalized scale), its neighbors ranked nearest first at
-    distances ``dist``.
+def _gap_cells(observed: np.ndarray, categorical: np.ndarray) -> tuple:
+    """(block rows, columns) of a block's gaps, ``~observed``, and which are categorical."""
+    rows, cols = np.nonzero(~observed)
+    return rows, cols, np.flatnonzero(categorical[cols])
+
+
+def _estimate_rows(donors, idx, dist, gaps, weighted: bool) -> np.ndarray:
+    """Estimate the cells ``gaps`` (:func:`_gap_cells`), in their order, of
+    a block of rows from the rows ``idx`` of ``donors`` (normalized scale),
+    the neighbors of each block row nearest first at distances ``dist``.
 
     Weighted form: a continuous cell takes the inverse-square-distance
     mean, short-circuited by any zero-distance neighbor to the plain mean
@@ -471,33 +465,40 @@ def _estimate_row(
     (d_k - d_l)/(d_k - d_1), all 1 when every distance is equal.
     Unweighted form: plain mean and plain mode. A categorical tie goes to
     the nearest neighbor's level if it is among the tied, else to the
-    lowest level index. The weights are worked out once per row.
+    lowest level index.
+
+    Each cell's k donor values are a row of a C-contiguous (cells x k)
+    array, so sums run along k in the pairwise order of a 1-D sum, and
+    ``bincount`` adds votes in rank order: a cell gets the same bits in
+    any block.
     """
-    plain, inverse_square, rank = slice(None), None, None  # plain: the neighbors a mean runs over
-    if weighted:
-        zero = dist == 0.0
-        if zero.any():
-            plain = zero
-        else:
-            inverse_square = 1.0 / (dist * dist)
-            total = inverse_square.sum()
-    out = []
-    for j in cols:
-        vals = donors[idx, j]
-        levels = schema.features[j].levels
-        if inverse_square is not None and levels is None:
-            est = (inverse_square * vals).sum() / total
-        elif levels is None:
-            est = vals[plain].mean()
-        else:
-            if rank is None:
-                spread = dist[-1] - dist[0]
-                rank = (dist[-1] - dist) / spread if weighted and spread else np.ones(len(dist))
-            sums = np.bincount(vals.astype(int), rank, len(levels))
-            tied = sums == sums.max()
-            est = vals[0] if tied[int(vals[0])] else np.argmax(tied)
-        out.append(float(est))
-    return out
+    rows, cols, voted = gaps
+    if len(idx) > 1:  # one (neighbors, distances) row per cell; a lone row broadcasts
+        idx, dist = idx[rows], dist[rows]
+    vals = donors[idx, cols[:, None]]
+    if not weighted:
+        est = vals.mean(axis=1)
+    else:
+        zero = None if dist.all() else np.broadcast_to(dist == 0.0, vals.shape)  # all(): no zero
+        finite = dist if zero is None else np.where(zero, 1.0, dist)
+        inverse_square = 1.0 / (finite * finite)
+        est = np.add.reduce(inverse_square * vals, axis=1) / np.add.reduce(inverse_square, axis=1)
+        for c in () if zero is None else np.flatnonzero(zero.any(axis=1)):
+            est[c] = vals[c, zero[c]].mean()
+    if len(voted):
+        codes = vals[voted].astype(np.intp)
+        rank = np.ones(codes.shape)
+        if weighted:
+            d = np.broadcast_to(dist, vals.shape)[voted]
+            spread = d[:, -1:] - d[:, :1]
+            np.divide(d[:, -1:] - d, spread, out=rank, where=spread != 0.0)
+        # levels past the largest code vote 0 < the nearest level's 1, so never tie
+        width = int(codes.max()) + 1
+        at = np.arange(len(voted))
+        sums = np.bincount((at[:, None] * width + codes).ravel(), rank.ravel(), len(voted) * width)
+        tied = sums.reshape(-1, width) == sums.reshape(-1, width).max(axis=1, keepdims=True)
+        est[voted] = np.where(tied[at, codes[:, 0]], codes[:, 0], tied.argmax(axis=1))
+    return est
 
 
 def sweep(state: RunState) -> SweepResult:
@@ -511,7 +512,8 @@ def sweep(state: RunState) -> SweepResult:
 
     The first sweep ranks the fixed rows once for the run
     (:func:`_rank_fixed`); every sweep re-ranks the others, row by row,
-    each against the pool :func:`prepare` settled for it.
+    each against the pool :func:`prepare` settled for it, and estimates
+    each row's gap cells, settled there too, as a block of one row.
 
     Updates land in the iterate immediately (fixed ascending row order, so
     runs are deterministic); rows later in the sweep see the refreshed
@@ -520,21 +522,18 @@ def sweep(state: RunState) -> SweepResult:
     """
     if state.fixed is None:
         state.fixed = _rank_fixed(state)
-    schema = state.dataset.schema
-    cat = schema.categorical_mask
+    cat, values = state.metric.categorical, state.values
     neighbors_out: dict[int, np.ndarray] = {}
     max_change = 0.0
-    for r in state.pools:
-        cols = np.flatnonzero(~state.dataset.mask[r])
-        ranked = state.fixed.get(r)
-        if ranked is None:
-            (_, *ranked), = _rank(state, state.pools[r], [r])
-        neighbors_out[r] = ranked[0]
-        est = _estimate_row(state.values, *ranked, cols, schema, state.plan.weighted_cells)
-        for j, e in zip(cols, est):
-            old = state.values[r, j]
+    for r, pool in state.pools.items():
+        gaps = state.gaps[r]
+        idx, dist = state.fixed.get(r) or next(_rank(state, pool, [r]))[1:]
+        neighbors_out[r] = idx
+        est = _estimate_rows(values, idx[None], dist[None], gaps, state.plan.weighted_cells)
+        for j, e in zip(gaps[1].tolist(), est.tolist()):
+            old = values[r, j]
             change = (0.0 if e == old else 1.0) if cat[j] else abs(e - old)
-            state.values[r, j] = e
+            values[r, j] = e
             max_change = max(max_change, change)
     return SweepResult(max_change, neighbors_out)
 
@@ -594,7 +593,8 @@ def impute_test(result: ImputationResult, test: Dataset) -> Dataset:
     Neighbors are ranked over all training rows (the class is unknown at
     test time) with the training feature weights; there is no iteration.
     Incomplete test rows are ranked in blocks of fixed byte size, through
-    the exact screen of :func:`_ranked_blocks` where the weights allow it.
+    the exact screen of :func:`_ranked_blocks` where the weights allow it,
+    and each block's gap cells are estimated in one array pass.
     A non-iterative method (mean/mode) fills every gap with the
     :func:`column_fill` of the completed training matrix, which is the
     value its fit wrote into that column's missing training cells.
@@ -606,21 +606,19 @@ def impute_test(result: ImputationResult, test: Dataset) -> Dataset:
     if test.n == 0:
         return test
     _require_valid(test)
-    ranges, k = result.ranges, result.chosen_k
-    train_vals = ranges.to_unit(train.values)
-    test_vals = ranges.to_unit(test.values)
+    ranges, k, weighted = result.ranges, result.chosen_k, result.plan.weighted_cells
+    donors = ranges.to_unit(train.values)
+    unit = ranges.to_unit(test.values)
     if not result.plan.iterative:
-        test_vals = np.where(test.mask, test_vals, column_fill(train_vals, train.schema))
+        unit = np.where(test.mask, unit, column_fill(donors, train.schema))
     else:
         if train.n < k:
             raise InsufficientCandidatesError(f"{train.n} training rows for k={k}")
         rows = np.nonzero(~test.mask.all(axis=1))[0]
         # each row's estimate writes only that row, so a block's queries
         # may all be read before any of them is filled
-        for start, dist, nearest in _ranked_blocks(result.metric, test_vals[rows], train_vals, k):
-            for r, dr, order in zip(rows[start:], dist, nearest):
-                gaps = np.nonzero(~test.mask[r])[0]
-                test_vals[r, gaps] = _estimate_row(
-                    train_vals, order, dr, gaps, test.schema, result.plan.weighted_cells
-                )
-    return _completed(test, ranges, test_vals)
+        for start, dist, nearest in _ranked_blocks(result.metric, unit[rows], donors, k):
+            block = rows[start:start + len(dist)]
+            gaps = _gap_cells(test.mask[block], result.metric.categorical)
+            unit[block[gaps[0]], gaps[1]] = _estimate_rows(donors, nearest, dist, gaps, weighted)
+    return _completed(test, ranges, unit)

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greyimpute import distance
-from greyimpute.dataset import Dataset, Feature, Schema
 from greyimpute.distance import GreyMetric, HeomMetric
 from greyimpute.engine import (
     DEFAULT_K_GRID,
@@ -20,7 +19,8 @@ from greyimpute.engine import (
     select_k,
     sweep,
     _cv_errors,
-    _estimate_row,
+    _estimate_rows,
+    _gap_cells,
     _nearest,
 )
 from greyimpute.errors import (
@@ -280,21 +280,20 @@ class TestNearestNeighbors:
 
 
 def impute_numeric_cell(distances, values, weighted=True):
-    """One continuous cell through :func:`_estimate_row`."""
-    return _one_cell(Feature("x"), distances, values, weighted)
+    """One continuous cell through :func:`_estimate_rows`."""
+    return _one_cell(False, distances, values, weighted)
 
 
-def impute_categorical_cell(distances, values, n_levels, weighted=True):
-    """One categorical cell through :func:`_estimate_row`."""
-    return _one_cell(Feature("x", tuple(map(str, range(n_levels)))), distances, values, weighted)
+def impute_categorical_cell(distances, values, weighted=True):
+    """One categorical cell through :func:`_estimate_rows`."""
+    return _one_cell(True, distances, values, weighted)
 
 
-def _one_cell(feature, distances, values, weighted):
+def _one_cell(categorical, distances, values, weighted):
     donors = np.asarray(values, dtype=float)[:, None]
-    return _estimate_row(
-        donors, np.arange(len(donors)), np.asarray(distances, dtype=float),
-        np.array([0]), Schema((feature,)), weighted,
-    )[0]
+    dist = np.asarray(distances, dtype=float)[None]
+    gaps = _gap_cells(np.array([[False]]), np.array([categorical]))
+    return _estimate_rows(donors, np.arange(len(donors))[None], dist, gaps, weighted)[0]
 
 
 class TestCellEstimators:
@@ -318,48 +317,87 @@ class TestCellEstimators:
         assert got == 2.0
 
     def test_rank_weighted_category(self):
-        got = impute_categorical_cell(
-            np.array([0.2, 0.3, 0.6]), np.array([0.0, 1.0, 1.0]), n_levels=2
-        )
+        got = impute_categorical_cell(np.array([0.2, 0.3, 0.6]), np.array([0.0, 1.0, 1.0]))
         assert got == 0  # weights (1, 0.75, 0): a=1.0 beats b=0.75
 
     def test_unanimous_neighbors(self):
-        got = impute_categorical_cell(
-            np.array([0.1, 0.2]), np.array([1.0, 1.0]), n_levels=3
-        )
+        got = impute_categorical_cell(np.array([0.1, 0.2]), np.array([1.0, 1.0]))
         assert got == 1
 
     def test_all_equal_distances_majority(self):
-        got = impute_categorical_cell(
-            np.array([0.4, 0.4, 0.4]), np.array([0.0, 0.0, 1.0]), n_levels=2
-        )
+        got = impute_categorical_cell(np.array([0.4, 0.4, 0.4]), np.array([0.0, 0.0, 1.0]))
         assert got == 0
 
     def test_tie_goes_to_nearest_neighbor_category(self):
         # equal distances, categories (b, a): both sum 1; nearest holds b
-        got = impute_categorical_cell(
-            np.array([0.4, 0.4]), np.array([1.0, 0.0]), n_levels=2
-        )
+        got = impute_categorical_cell(np.array([0.4, 0.4]), np.array([1.0, 0.0]))
         assert got == 1
 
     def test_unweighted_mode(self):
         got = impute_categorical_cell(
-            np.array([0.1, 0.2, 0.9]), np.array([2.0, 2.0, 0.0]),
-            n_levels=3, weighted=False,
+            np.array([0.1, 0.2, 0.9]), np.array([2.0, 2.0, 0.0]), weighted=False
         )
         assert got == 2
 
     def test_mixed_row_estimates_each_cell_as_alone(self):
-        # one row, a continuous and a categorical gap: the per-row weights
-        # give each cell what it gets on its own
-        schema = Schema((Feature("x"), Feature("c", ("a", "b", "c"))))
+        # one row, a continuous and a categorical gap: each cell gets what
+        # it gets on its own
+        cat = np.array([False, True])
         donors = np.array([[1.0, 2.0], [3.0, 1.0], [5.0, 1.0]])
         dist = np.array([0.1, 0.2, 0.4])
-        got = _estimate_row(donors, np.arange(3), dist, np.array([0, 1]), schema, True)
-        assert got == [
+        gaps = _gap_cells(np.array([[False, False]]), cat)
+        got = _estimate_rows(donors, np.arange(3)[None], dist[None], gaps, True)
+        assert got.tolist() == [
             impute_numeric_cell(dist, donors[:, 0]),
-            impute_categorical_cell(dist, donors[:, 1], n_levels=3),
+            impute_categorical_cell(dist, donors[:, 1]),
         ]
+
+
+class TestBlockEstimator:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_every_cell_matches_the_oracles_and_its_row_alone(self, data):
+        # mixed columns, k 1-15, weighted or not; distances from a coarse
+        # grid give zeros at any rank, all-equal rows and vote ties, and a
+        # grid below 0 gives the negative grey distances of override
+        # weights that sum past 1
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        m, p = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 5))
+        k = data.draw(st.integers(1, 15))
+        weighted = data.draw(st.booleans())
+        n_levels = [data.draw(st.sampled_from([0, 0, 2, 3])) for _ in range(p)]  # 0: continuous
+        cat = np.array([levels > 0 for levels in n_levels])
+        n = k + int(rng.integers(0, 10))
+        donors = rng.random((n, p))
+        for j, levels in enumerate(n_levels):
+            if levels:
+                donors[:, j] = rng.integers(0, levels, n)
+        idx = np.array([rng.permutation(n)[:k] for _ in range(m)])
+        low = data.draw(st.sampled_from([0.0, -0.5]))
+        if data.draw(st.booleans()):
+            dist = rng.choice(np.arange(low, 1.0, 0.25), (m, k))
+        else:
+            dist = rng.uniform(low, 1.0, (m, k))
+        dist[rng.random(m) < 0.2] = dist[0, 0]  # every distance equal
+        dist = np.sort(dist, axis=1)
+        observed = rng.random((m, p)) < 0.5
+        observed[np.arange(m), rng.integers(0, p, m)] = False
+
+        gaps = _gap_cells(observed, cat)
+        got = _estimate_rows(donors, idx, dist, gaps, weighted)
+        alone = [
+            _estimate_rows(donors, idx[[i]], dist[[i]], _gap_cells(observed[[i]], cat), weighted)
+            for i in range(m)
+        ]
+        assert got.tobytes() == np.concatenate(alone).tobytes()
+        for est, r, j in zip(got, *gaps[:2]):
+            nd, nv = dist[r].tolist(), donors[idx[r], j].tolist()
+            if cat[j]:
+                assert est == oracle_categorical_estimate(nd, nv, n_levels[j], weighted)
+            else:
+                assert est == pytest.approx(
+                    oracle_numeric_estimate(nd, nv, weighted), rel=1e-12, abs=1e-12
+                )
 
 
 def _mcar(ds, cols, rate, seed):
@@ -399,7 +437,8 @@ class TestWeightsOverride:
         np.r_[np.inf, np.zeros(22)],
         np.full((1, 23), 1 / 23),
         ["w"] * 23,
-    ], ids=["nan", "length-5", "negative", "inf", "2-d", "text"])
+        np.r_[1e308, 1e308, np.zeros(21)],
+    ], ids=["nan", "length-5", "negative", "inf", "2-d", "text", "sum-overflows"])
     def test_bad_vector_is_data_error(self, weights):
         ds = inject_mcar(gen_cubes(1), ["x1"], 0.1, 1)
         with pytest.raises(DataError, match="weights_override"):
@@ -429,8 +468,9 @@ def reference_sweep(state):
         d = state.metric.distances(query[None, :], state.values[pool])
         nearest = _nearest(d, k)[0]
         neighbors[r] = pool[nearest]
-        state.values[r, cols] = _estimate_row(
-            state.values, pool[nearest], d[0, nearest], cols, ds.schema, state.plan.weighted_cells
+        state.values[r, cols] = _estimate_rows(
+            state.values, pool[nearest][None], d[:, nearest],
+            _gap_cells(ds.mask[r:r + 1], state.metric.categorical), state.plan.weighted_cells,
         )
     return neighbors
 
@@ -733,6 +773,49 @@ class TestImputeTest:
                     assert out[r, j] == pytest.approx(
                         oracle_numeric_estimate(nd, nv, True), rel=1e-12, abs=1e-12
                     )
+
+    @pytest.mark.parametrize("budget", [1, distance.BLOCK_BYTES])
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_zero_distance_donors_match_oracle(self, rng, monkeypatch, budget, weighted):
+        # each base row appears twice exactly and once with its unweighted
+        # cells (c, x3) redrawn; a query copies a base row on the weighted
+        # features and always misses c, so unless it also misses x0 it lies
+        # at distance 0 from up to three donors
+        levels = {2: ("a", "b", "c")}
+        cat = [False, False, True, False]
+        weights = np.array([0.5, 0.5, 0.0, 0.0])
+        base = np.column_stack([rng.random((20, 2)), rng.integers(0, 3, 20), rng.random(20)])
+        redrawn = base.copy()
+        redrawn[:, 2:] = np.column_stack([rng.integers(0, 3, 20), rng.random(20)])
+        values = np.vstack([base, base, redrawn])
+        labels = np.arange(60) % 2
+        values[rng.random(values.shape) < 0.05] = NAN
+        plan = MethodPlan(True, "grey", "none", weighted)
+        train = build_dataset(values, levels, labels=labels)
+        result = run_plan(train, ImputeConfig(method="cgknn", k=4, seed=1), plan, weights)
+        queries = base[rng.integers(0, 20, 30)]
+        queries[:, 2] = NAN
+        queries[rng.random(30) < 0.5, 3] = NAN
+        queries[rng.random(30) < 0.2, 0] = NAN
+        monkeypatch.setattr(distance, "BLOCK_BYTES", budget)
+        out = result.ranges.to_unit(impute_test(result, build_dataset(queries, levels)).values)
+        donors = result.ranges.to_unit(result.completed.values).tolist()
+        zero_rows = 0
+        for r, query in enumerate(result.ranges.to_unit(queries).tolist()):
+            dmin, dmax = oracle_bounds(query, donors, cat)
+            dist = [1.0 - oracle_grg(query, d, cat, dmin, dmax, 0.5, weights) for d in donors]
+            nearest = sorted(range(len(donors)), key=lambda i: (dist[i], i))[:4]
+            nd = [dist[i] for i in nearest]
+            zero_rows += 0.0 in nd
+            for j in np.nonzero(np.isnan(queries[r]))[0]:
+                nv = [donors[i][j] for i in nearest]
+                if cat[j]:
+                    assert out[r, j] == oracle_categorical_estimate(nd, nv, 3, weighted)
+                else:
+                    assert out[r, j] == pytest.approx(
+                        oracle_numeric_estimate(nd, nv, weighted), rel=1e-12, abs=1e-12
+                    )
+        assert zero_rows >= 10
 
     def test_custom_plan_serves_transform(self, rng):
         # gknn's own plan estimates cells by plain means; a run under a
