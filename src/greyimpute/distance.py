@@ -68,7 +68,8 @@ def _mark_own(a: np.ndarray, own, value: float) -> None:
 
 def _gaps(queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """|candidate - query| as a (features x queries x candidates) array,
-    NaN where the query cell is missing."""
+    NaN where the query cell is missing. Feature-major (Fortran-ordered)
+    candidates are read in place; others are copied into that order once."""
     cols = np.ascontiguousarray(np.asarray(candidates, dtype=float).T)
     gaps = np.subtract(cols[:, None, :], queries.T[:, :, None])
     return np.abs(gaps, out=gaps)
@@ -102,13 +103,15 @@ class HeomMetric:
 
 def _bounds(gaps: np.ndarray, categorical, own=None):
     """Each query's min and max gap over its observed continuous cells (all
-    if ``categorical`` is None), or the (0, 1) sentinel, which keeps grey
-    coefficients finite, if it has none. fmin/fmax skip missing query cells'
-    NaN rows. An own row's gaps (0) cannot raise dmax; dmin skips them (+inf)."""
-    cont = True if categorical is None else ~categorical[:, None]
-    dmax = np.fmax.reduce(gaps.max(axis=2), axis=0, initial=np.nan, where=cont)
-    _mark_own(gaps, own, np.inf)
-    dmin = np.fmin.reduce(gaps.min(axis=2), axis=0, initial=np.nan, where=cont)
+    if ``categorical`` is None) and candidates other than its ``own``, or
+    the (0, 1) sentinel, which keeps grey coefficients finite, if it has
+    none. Each bound is one reduction over features and candidates: fmin
+    and fmax skip the NaN rows of missing query cells and the own row's
+    gaps, marked NaN here (they are 0, so could not raise dmax anyway)."""
+    cont = True if categorical is None else ~categorical[:, None, None]
+    _mark_own(gaps, own, np.nan)
+    dmax = np.fmax.reduce(gaps, axis=(0, 2), initial=np.nan, where=cont)
+    dmin = np.fmin.reduce(gaps, axis=(0, 2), initial=np.nan, where=cont)
     return _sentinel(dmin, dmax)
 
 
@@ -165,9 +168,10 @@ class GreyMetric:
 
     def _grade(self, g, qnan, dmin, rdmax):
         """Weighted grey grade from the gaps ``g`` (features first), summed
-        left to right; overwrites ``g``. ``qnan`` marks the missing query
-        cells (``g.shape[:2]``); ``dmin``/``rdmax`` (the query's dmin and
-        rho*dmax) broadcast against ``g[0]``."""
+        left to right into ``g[0]``, which it returns; overwrites ``g``.
+        ``qnan`` marks the missing query cells (``g.shape[:2]``);
+        ``dmin``/``rdmax`` (the query's dmin and rho*dmax) broadcast against
+        ``g[0]``."""
         cat = self._cat
         match = None if cat is None else g[cat] == 0.0
         g += rdmax
@@ -176,7 +180,8 @@ class GreyMetric:
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(dmin + rdmax, g, out=g)
         # dmin is the smallest continuous gap, so every continuous ratio is
-        # at most 1 and its only NaN is 0/0: perfect similarity, 1
+        # at most 1 and its only NaN is 0/0: perfect similarity, 1 (an own
+        # row's NaN gaps give any grade; distances marks it after)
         flat = rdmax == 0.0
         if flat.any():
             np.fmin(g, 1.0, out=g, where=flat)
@@ -184,8 +189,8 @@ class GreyMetric:
             g[cat] = match
         g[qnan] = 0.0
         g *= self._w.reshape((-1,) + (1,) * (g.ndim - 1))
-        grade = np.zeros(g.shape[1:])
-        for gj in g:  # features left to right
+        grade = g[0]  # 0 + g[0] would differ only in the sign of a zero grade
+        for gj in g[1:]:  # features left to right
             grade += gj
         return grade
 

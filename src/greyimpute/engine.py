@@ -11,10 +11,12 @@ or the iteration cap is hit.
 
 Sweeps update the iterate in place over a fixed ascending row order, so a
 run is fully deterministic and later rows benefit from earlier rows'
-refreshed estimates within the same pass. Observed cells are never
-touched: the output matrix is composed from the original input plus the
-imputed cells only. One block cell estimator (:func:`_estimate_rows`) fills
-the gaps of the sweeps, a row at a time, and of :func:`impute_test`, a block.
+refreshed estimates within the same pass. The iterate is feature-major
+(Fortran order), which the distance kernel reads without a copy. Observed
+cells are never touched: the output matrix is composed from the original
+input plus the imputed cells only. One block cell estimator
+(:func:`_estimate_rows`) fills the gaps of the sweeps, a row at a time,
+and of :func:`impute_test`, a block.
 
 Method variants differ along four orthogonal axes captured by
 :class:`MethodPlan`: candidate pool (whole matrix vs same class), metric
@@ -229,8 +231,9 @@ def _ranked_blocks(metric, queries, candidates, k, own=None):
     blocks are sized for the survivors' arrays should every pair survive,
     which is more than the float32 grades take. A lone query is
     scored in full, which costs less than sorting the candidate columns.
-    Unscreened queries with an ``own`` row (the sweeps') go one per block:
-    pool-sized blocks raised the peak memory of 400-row runs by a seventh."""
+    Unscreened queries with an ``own`` row (the sweeps' fixed rows) go one
+    per block: pool-sized blocks raised the peak memory of 400-row runs by
+    a seventh. The sweeps rank their moving rows themselves."""
     lone = len(queries) < 2
     screen = metric.screen(candidates) if isinstance(metric, GreyMetric) and not lone else None
     # 8-byte values per (query, candidate) pair: the full kernel's gaps for
@@ -306,7 +309,10 @@ def select_k(
 class RunState:
     """State threaded through the sweeps. :func:`prepare` settles all but the
     iterate and ``fixed``, among it each incomplete row's pool
-    (:func:`_pools`) and whether a row fell back from its class."""
+    (:func:`_pools`), whether a row fell back from its class, and each
+    row's gap cells, query and own position in its pool, which hold for
+    the run: observed cells never change and gaps stay NaN in the query.
+    ``values`` is feature-major (Fortran order)."""
 
     dataset: Dataset
     plan: MethodPlan
@@ -317,6 +323,7 @@ class RunState:
     mi_estimates: tuple[MIEstimate, ...] | None
     pools: dict[int, np.ndarray]  # incomplete row -> its pool, rows ascending
     gaps: dict[int, tuple]  # incomplete row -> its gap cells as a block of one
+    queries: dict[int, tuple]  # incomplete row -> (query block of one, own position in pool)
     used_pool_fallback: bool
     fixed: dict[int, tuple] | None = None  # see _rank_fixed
 
@@ -396,12 +403,14 @@ def prepare(
         dataset=dataset,
         plan=plan,
         ranges=ranges,
-        values=initial.values.copy(),
+        values=np.array(initial.values, order="F"),
         metric=metric,
         k=k,
         mi_estimates=mi_estimates,
         pools=pools,
         gaps={r: _gap_cells(dataset.mask[r:r + 1], metric.categorical) for r in pools},
+        queries={r: (normalized.values[r:r + 1], np.searchsorted(pool, [r]))
+                 for r, pool in pools.items()},
         used_pool_fallback=fallback,
     )
 
@@ -423,13 +432,10 @@ def _pools(dataset: Dataset, per_class: bool, k: int, rows) -> tuple[dict, bool]
     return pools, any(pool is everyone for pool in classes.values())
 
 
-def _rank(state: RunState, pool: np.ndarray, rows: list[int]):
-    """(row, donor rows, distances) of each of ``rows`` against ``pool``."""
-    queries = np.where(state.dataset.mask[rows], state.values[rows], np.nan)
-    own = np.searchsorted(pool, rows)
-    for at, dist, near in _ranked_blocks(state.metric, queries, state.values[pool], state.k, own):
-        for r, d, idx in zip(rows[at:], dist, near):
-            yield r, pool[idx], d
+def _pool_values(values: np.ndarray, pool: np.ndarray) -> np.ndarray:
+    """The pool's rows of the feature-major iterate, feature-major: the
+    iterate itself when the pool is every row, else one gather."""
+    return values if len(pool) == len(values) else values.T.take(pool, axis=1).T
 
 
 def _rank_fixed(state: RunState) -> dict[int, tuple]:
@@ -443,7 +449,10 @@ def _rank_fixed(state: RunState) -> dict[int, tuple]:
     for pool, rows in groups.values():
         gappy = ~mask[pool].all(axis=0)
         rows = [r for r in rows if not (mask[r] & gappy).any()]
-        fixed.update((r, ranked) for r, *ranked in _rank(state, pool, rows))
+        queries = np.where(mask[rows], state.values[rows], np.nan)
+        candidates, own = _pool_values(state.values, pool), np.searchsorted(pool, rows)
+        for at, dist, near in _ranked_blocks(state.metric, queries, candidates, state.k, own):
+            fixed.update((r, (pool[idx], d)) for r, d, idx in zip(rows[at:], dist, near))
     return fixed
 
 
@@ -511,9 +520,11 @@ def sweep(state: RunState) -> SweepResult:
     instead of anchoring the search on their own current estimates.
 
     The first sweep ranks the fixed rows once for the run
-    (:func:`_rank_fixed`); every sweep re-ranks the others, row by row,
-    each against the pool :func:`prepare` settled for it, and estimates
-    each row's gap cells, settled there too, as a block of one row.
+    (:func:`_rank_fixed`); every sweep re-ranks the other (moving) rows,
+    row by row: one ``metric.distances`` call on the query, own position
+    and pool that :func:`prepare` settled, then the first k of a stable
+    argsort, which :func:`_nearest` is defined to equal. Each row's gap
+    cells are estimated as a block of one row.
 
     Updates land in the iterate immediately (fixed ascending row order, so
     runs are deterministic); rows later in the sweep see the refreshed
@@ -527,9 +538,16 @@ def sweep(state: RunState) -> SweepResult:
     max_change = 0.0
     for r, pool in state.pools.items():
         gaps = state.gaps[r]
-        idx, dist = state.fixed.get(r) or next(_rank(state, pool, [r]))[1:]
+        if r in state.fixed:
+            idx, dist = state.fixed[r]
+        else:
+            query, own = state.queries[r]
+            d = state.metric.distances(query, _pool_values(values, pool), own)[0]
+            near = d.argsort(kind="stable")[:state.k]
+            idx, dist = pool[near], d[near]
         neighbors_out[r] = idx
         est = _estimate_rows(values, idx[None], dist[None], gaps, state.plan.weighted_cells)
+        # cell by cell: a row has a few gaps, and array calls cost more here
         for j, e in zip(gaps[1].tolist(), est.tolist()):
             old = values[r, j]
             change = (0.0 if e == old else 1.0) if cat[j] else abs(e - old)
@@ -539,9 +557,10 @@ def sweep(state: RunState) -> SweepResult:
 
 
 def _completed(dataset: Dataset, ranges: RangeTable, unit: np.ndarray) -> Dataset:
-    """The dataset with every gap taken from ``unit`` (normalized scale)
-    and every observed cell kept as it was."""
-    return dataset.with_values(np.where(dataset.mask, dataset.values, ranges.from_unit(unit)))
+    """The dataset with every gap taken from ``unit`` (normalized scale, any
+    layout) and every observed cell kept as it was, C-ordered."""
+    filled = np.where(dataset.mask, dataset.values, ranges.from_unit(unit))
+    return dataset.with_values(np.ascontiguousarray(filled))
 
 
 def _compose_result(state: RunState, trace: list[float], converged: bool) -> ImputationResult:

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from greyimpute.dataset import Dataset, normalize
 from greyimpute.distance import GreyMetric, GreyScreen, HeomMetric, _bounds, _gaps, _sorted_bounds
-from greyimpute.engine import DEFAULT_K_GRID, _cv_errors, _nearest, _ranked_blocks
+from greyimpute.engine import (
+    DEFAULT_K_GRID,
+    _cv_errors,
+    _estimate_rows,
+    _gap_cells,
+    _nearest,
+    _ranked_blocks,
+)
 from greyimpute.folds import stratified_folds
 from greyimpute.relevance import dataset_class_weights
 from greyimpute.synth import gen_cubes
@@ -539,3 +546,77 @@ class TestOwnRow:
             emin, emax = _sorted_bounds(q[i:i + 1], np.sort(rest[:, ~cat], axis=0).T, ~cat)
             assert dmin[i:i + 1].tobytes() == emin.tobytes() == gmin[i:i + 1].tobytes()
             assert dmax[i:i + 1].tobytes() == emax.tobytes() == gmax[i:i + 1].tobytes()
+
+
+def layouts(a):
+    """``a`` as a C-ordered array, a Fortran-ordered one and a strided view
+    that is neither."""
+    rows, cols = a.shape
+    strided = np.zeros((2 * rows, 2 * cols + 1))[::2, 1::2]
+    strided[...] = a
+    return np.ascontiguousarray(a), np.asfortranarray(a), strided
+
+
+@st.composite
+def layout_case(draw):
+    """Mixed candidates of 1 to 30 features (ties on a coarse grid, or
+    arbitrary values), queries with holes that are candidate rows
+    (``own``) or not, weights with a nonempty heavy set, and a k up to
+    every other candidate."""
+    p = draw(st.integers(1, 30))
+    n = draw(st.integers(2, 25))
+    m = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cat = rng.random(p) < draw(st.sampled_from([0.0, 0.3]))
+    candidates = rng.random((n, p))
+    if draw(st.booleans()):
+        candidates = np.round(candidates * 4) / 4
+    candidates[:, cat] = rng.integers(0, 3, size=(n, int(cat.sum())))
+    own = None
+    if draw(st.booleans()):
+        own = rng.integers(0, n, size=m)
+        queries = candidates[own].copy()
+    else:
+        queries = rng.random((m, p))
+        queries[:, cat] = rng.integers(0, 3, size=(m, int(cat.sum())))
+    queries[rng.random((m, p)) < 0.2] = NAN
+    heavy = rng.random(p) < 0.3
+    heavy[rng.integers(0, p)] = True
+    weights = np.where(heavy, 1.0 + rng.random(p), 0.01 * rng.random(p))
+    rho = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    k = draw(st.integers(1, n - 1 if own is not None else n))
+    return candidates, queries, own, cat, heavy, weights, rho, k
+
+
+class TestLayoutIndependence:
+    """The kernels, the screen and the cell estimator give the same bits
+    whatever the memory layout of their inputs. Past 8 features numpy's
+    pairwise sum along a contiguous axis adds in another order than the
+    kernels' left-to-right feature loop, so p reaches 30; the screen's
+    survivors must also equal the full kernel."""
+
+    @given(layout_case(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_same_bits_for_every_layout(self, case, weighted):
+        candidates, queries, own, cat, heavy, weights, rho, k = case
+        w = weights if weighted else None
+        for metric in (GreyMetric(cat, rho, w), HeomMetric(cat, w)):
+            expected = metric.distances(queries, candidates, own).tobytes()
+            for c in layouts(candidates):
+                for q in layouts(queries):
+                    assert metric.distances(q, c, own).tobytes() == expected
+        metric = GreyMetric(cat, rho, weights)
+        d = metric.distances(queries, candidates, own)
+        nearest = _nearest(d, k)
+        dist = np.take_along_axis(d, nearest, axis=1)
+        light = float(weights[~heavy].sum())
+        for c in layouts(candidates):
+            screen = GreyScreen(metric, c, np.flatnonzero(heavy), light)
+            for q in layouts(queries):
+                got_dist, got = screen.nearest(q, k, own)
+                assert np.array_equal(got, nearest)
+                assert got_dist.tobytes() == dist.tobytes()
+        gaps = _gap_cells(~np.isnan(queries), cat)
+        estimate = _estimate_rows(candidates, nearest, dist, gaps, weighted).tobytes()
+        for donors in layouts(candidates):
+            assert _estimate_rows(donors, nearest, dist, gaps, weighted).tobytes() == estimate

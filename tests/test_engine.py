@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,7 @@ from greyimpute.errors import (
 )
 from greyimpute.evaluate import rmse
 from greyimpute.folds import effective_fold_count, stratified_fold_ids
-from greyimpute.synth import gen_cubes, inject_mcar
+from greyimpute.synth import gen_cubes, gen_mvn_mar, inject_mar, inject_mcar
 
 from _oracles import (
     oracle_bounds,
@@ -562,6 +564,25 @@ class TestManySweeps:
                 for r, donors in expected.items():
                     assert np.array_equal(neighbors[r], donors), (method, gaps, trial, r)
                 assert state.values.tobytes() == reference.values.tobytes()
+
+    @pytest.mark.parametrize("method", ["cgknn", "fwgknn"])
+    def test_every_sweep_equals_reranking_at_workload_scale(self, method):
+        # the mvn-mar benchmark's seed-3 table: 4 class pools of 100 rows
+        # for cgknn, which hits the cap; one 400-row pool and k=9 for fwgknn
+        truth, mar = gen_mvn_mar(3)
+        ds = inject_mar(truth, dataclasses.replace(mar, target_rate=0.2), 1003)
+        config = ImputeConfig(method=method)
+        state, reference = prepare(ds, config), prepare(ds, config)
+        for sweeps in range(1, config.max_iter + 1):
+            result = sweep(state)
+            expected = reference_sweep(reference)
+            assert result.neighbors.keys() == expected.keys()
+            for r, donors in expected.items():
+                assert np.array_equal(result.neighbors[r], donors), (sweeps, r)
+            assert state.values.tobytes() == reference.values.tobytes()
+            if result.max_change < config.epsilon:
+                break
+        assert sweeps == (config.max_iter if method == "cgknn" else 10)
 
     @pytest.mark.parametrize("two_columns", [False, True])
     def test_later_sweeps_rank_only_the_moving_rows(self, rng, two_columns):

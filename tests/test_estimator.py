@@ -103,6 +103,18 @@ class TestFitTransform:
         fixed = GreyKNNImputer(n_neighbors=15).fit(ds.values, ds.labels)
         assert est.transform(new).tobytes() == fixed.transform(new).tobytes()
 
+    @pytest.mark.parametrize("method", [m.value for m in Method])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_outputs_are_c_contiguous_float64(self, rng, method, order):
+        # whatever layout the engine keeps its iterate in
+        _, holed, y = _toy(rng)
+        holed = np.asarray(holed, order=order)
+        est = GreyKNNImputer(method=method, n_neighbors=3)
+        outputs = (est.fit_transform(holed, y), est.result_.completed.values,
+                   est.transform(holed[:10]))
+        for out in outputs:
+            assert out.dtype == np.float64 and out.flags.c_contiguous
+
     def test_transform_before_fit_rejected(self):
         with pytest.raises(DataError):
             GreyKNNImputer().transform(np.zeros((2, 2)))
