@@ -8,6 +8,15 @@ Downstream effect is scored as stratified k-fold naive-Bayes
 classification accuracy on the imputed data, against a no-imputation
 baseline fit on complete cases only.
 
+Naive Bayes takes each class's continuous means and variances in one
+pass over a C-contiguous (features x class rows) block, so every row is
+summed in the pairwise order numpy gives a 1-D column; a Fortran-ordered
+block would sum in another order and move the last bits. Scores add the
+log prior and then each feature's term left to right; the Gaussian terms
+of a block of rows come from one broadcast. :func:`nb_predict` refuses a
+row of the wrong width, a non-finite cell or a categorical cell that is
+not a level code.
+
 :func:`benchmark` runs its cells one after another: the cells are
 interpreter-bound, so a thread pool over them measured slower than
 serial.
@@ -22,6 +31,7 @@ import numpy as np
 
 from ._rng import derive_seed
 from .dataset import Dataset, RangeTable
+from .distance import block_rows
 from .engine import ImputeConfig, Method, column_fill, run_impute
 from .errors import (
     DataError,
@@ -111,13 +121,13 @@ def nb_fit(dataset: Dataset) -> NaiveBayesModel:
     mean = np.full((m, p), np.nan)
     var = np.full((m, p), np.nan)
     cat_log_lik: dict[int, np.ndarray] = {}
+    cont = ~cat
+    cols = dataset.values[:, cont].T
     for y in range(m):
-        rows = dataset.values[dataset.labels == y]
-        for j in range(p):
-            if cat[j]:
-                continue
-            mean[y, j] = rows[:, j].mean()
-            var[y, j] = max(rows[:, j].var(), VARIANCE_FLOOR)
+        # one contiguous row per feature: its pairwise sum is the 1-D column's
+        block = np.ascontiguousarray(cols[:, dataset.labels == y])
+        mean[y, cont] = block.mean(axis=1)
+        var[y, cont] = np.maximum(block.var(axis=1), VARIANCE_FLOOR)
     for j in range(p):
         if not cat[j]:
             continue
@@ -129,23 +139,44 @@ def nb_fit(dataset: Dataset) -> NaiveBayesModel:
 
 
 def _joint_log_likelihood(model: NaiveBayesModel, values: np.ndarray) -> np.ndarray:
+    """Per-row class scores: the log prior plus each feature's log
+    likelihood, added one feature at a time, left to right. The Gaussian
+    terms of a block of rows come from one broadcast over (continuous
+    features x rows x classes), bounded by :data:`~greyimpute.distance.BLOCK_BYTES`."""
     n = values.shape[0]
+    cont = np.flatnonzero(~model.categorical)
+    slot = np.cumsum(~model.categorical) - 1  # feature j's row of the Gaussian terms
+    mu = model.cont_mean[:, cont].T[:, None, :]
+    var = model.cont_var[:, cont].T[:, None, :]
+    log_norm = np.log(2.0 * np.pi * var)
     scores = np.tile(model.log_prior, (n, 1))
-    for j in range(values.shape[1]):
-        col = values[:, j]
-        if model.categorical[j]:
-            scores += model.cat_log_lik[j][:, col.astype(int)].T
-        else:
-            mu = model.cont_mean[:, j]
-            var = model.cont_var[:, j]
-            scores += -0.5 * (np.log(2.0 * np.pi * var) + (col[:, None] - mu) ** 2 / var)
+    step = block_rows(len(cont) * model.n_classes, 3)
+    for start in range(0, n, step):
+        rows = values[start:start + step]
+        out = scores[start:start + step]
+        terms = -0.5 * (log_norm + (rows[:, cont].T[:, :, None] - mu) ** 2 / var)
+        for j in range(values.shape[1]):
+            if model.categorical[j]:
+                out += model.cat_log_lik[j][:, rows[:, j].astype(int)].T
+            else:
+                out += terms[slot[j]]
     return scores
 
 
 def nb_predict(model: NaiveBayesModel, values: np.ndarray) -> np.ndarray:
-    """Most probable class per row (ties to the lower class index). Rows
-    must be complete. Accepts one row or a matrix."""
+    """Most probable class per row (ties to the lower class index). Accepts
+    one row or a matrix of the model's width; every cell must be finite and
+    every categorical cell a whole level code."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
+    p = len(model.categorical)
+    if values.ndim != 2 or values.shape[1] != p:
+        raise LengthMismatchError(f"rows of {p} feature(s) expected, got shape {values.shape}")
+    if not np.isfinite(values).all():
+        raise DataError("rows to classify must be complete and finite")
+    for j, table in model.cat_log_lik.items():
+        codes = values[:, j]
+        if ((codes < 0) | (codes >= table.shape[1]) | (codes != np.floor(codes))).any():
+            raise DataError(f"column {j} holds a code that is not a level in 0..{table.shape[1] - 1}")
     return np.argmax(_joint_log_likelihood(model, values), axis=1)
 
 
@@ -267,7 +298,8 @@ REPORT_FIELDS = (
 )
 
 
-def _run_cell(spec, method, rate, seed, truth, injected, baseline):
+def _row(method, rate, seed, baseline, error=None):
+    """A report row with its keys filled and its results still empty."""
     row = dict.fromkeys(REPORT_FIELDS)
     row.update(
         method=method.value,
@@ -275,7 +307,13 @@ def _run_cell(spec, method, rate, seed, truth, injected, baseline):
         seed=int(seed),
         baseline_accuracy=baseline,
         wall_time_ms=0.0,
+        error=error,
     )
+    return row
+
+
+def _run_cell(spec, method, rate, seed, truth, injected, baseline):
+    row = _row(method, rate, seed, baseline)
     config = replace(spec.config, method=method, seed=seed)
     try:
         start = time.perf_counter()
@@ -302,15 +340,21 @@ def benchmark(spec: BenchmarkSpec) -> list[dict]:
 
     Per cell: retain the truth, inject missingness, impute, score RMSE
     against the truth and accuracy by naive-Bayes CV. Failures are recorded
-    on their row without aborting the sweep. Output order is canonical
-    (method, rate, seed).
+    on their row without aborting the sweep; a no-imputation baseline that
+    cannot be fit marks every row of its (seed, rate). Output order is
+    canonical (method, rate, seed).
     """
     rows = []
     for seed in spec.seeds:
         truth, default_mar = _truth_for(spec, seed)
         for rate in spec.rates:
             injected = _inject(spec, truth, default_mar, rate, seed)
-            baseline = no_imputation_cv(injected, spec.config.folds, derive_seed(seed, 0xBA))
+            try:
+                baseline = no_imputation_cv(injected, spec.config.folds, derive_seed(seed, 0xBA))
+            except DataError as exc:
+                error = f"no-imputation baseline: {exc}"
+                rows.extend(_row(method, rate, seed, None, error) for method in spec.methods)
+                continue
             for method in spec.methods:
                 rows.append(_run_cell(spec, method, rate, seed, truth, injected, baseline))
     order = {m: i for i, m in enumerate(spec.methods)}

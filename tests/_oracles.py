@@ -7,9 +7,22 @@ candidate bounds, cross-validated k selection by full sorts and literal
 majority votes, inverse-square / rank-weighted cell estimators, the exact
 n x n Parzen conditional entropy, and one full imputation sweep per
 method. No code is shared with the package beyond the Dataset container.
+
+The naive-Bayes pair is the exception: :func:`oracle_nb_fit` and
+:func:`oracle_joint_log_likelihood` are the package's earlier per-feature
+numpy code, kept verbatim as the bit-for-bit reference for the per-class
+block version (one numpy call per class x feature statistic, one Gaussian
+term per feature).
 """
 
 import math
+
+import numpy as np
+
+from greyimpute.errors import DataError, DegenerateClassError
+from greyimpute.evaluate import NaiveBayesModel
+
+VARIANCE_FLOOR = 1e-9
 
 
 
@@ -256,3 +269,53 @@ def oracle_one_iteration(dataset, method, k, rho=0.5, weights=None, eq11_literal
                     nd, nv, rules["weighted"], eq11_literal
                 )
     return neighbor_table, current
+
+
+def oracle_nb_fit(dataset):
+    """Fit on a complete labeled dataset; every class needs >= 2 rows."""
+    if dataset.labels is None:
+        raise DataError("naive Bayes needs class labels")
+    if not dataset.mask.all():
+        raise DataError("naive Bayes training data must be complete")
+    m = len(dataset.schema.class_levels)
+    counts = np.bincount(dataset.labels, minlength=m)
+    if (counts < 2).any():
+        lacking = int(np.argmin(counts))
+        raise DegenerateClassError(
+            f"class {dataset.schema.class_levels[lacking]!r} has {counts[lacking]} row(s)"
+        )
+    cat = dataset.schema.categorical_mask
+    p = dataset.p
+    log_prior = np.log(counts / counts.sum())
+    mean = np.full((m, p), np.nan)
+    var = np.full((m, p), np.nan)
+    cat_log_lik: dict[int, np.ndarray] = {}
+    for y in range(m):
+        rows = dataset.values[dataset.labels == y]
+        for j in range(p):
+            if cat[j]:
+                continue
+            mean[y, j] = rows[:, j].mean()
+            var[y, j] = max(rows[:, j].var(), VARIANCE_FLOOR)
+    for j in range(p):
+        if not cat[j]:
+            continue
+        k = len(dataset.schema.features[j].levels)
+        codes = dataset.labels * k + dataset.values[:, j].astype(int)
+        table = np.bincount(codes, minlength=m * k).reshape(m, k).astype(float)
+        cat_log_lik[j] = np.log((table + 1.0) / (table.sum(axis=1, keepdims=True) + k))
+    return NaiveBayesModel(log_prior, mean, var, cat_log_lik, cat, m)
+
+
+def oracle_joint_log_likelihood(model, values):
+    n = values.shape[0]
+    scores = np.tile(model.log_prior, (n, 1))
+    for j in range(values.shape[1]):
+        col = values[:, j]
+        if model.categorical[j]:
+            scores += model.cat_log_lik[j][:, col.astype(int)].T
+        else:
+            mu = model.cont_mean[:, j]
+            var = model.cont_var[:, j]
+            scores += -0.5 * (np.log(2.0 * np.pi * var) + (col[:, None] - mu) ** 2 / var)
+    return scores

@@ -54,6 +54,15 @@ def random_mixed_dataset(rng, max_n=10, max_p=4, missing_rate=0.3, n_classes=2,
     return build_dataset(values, cat_cols, labels)
 
 
+def layouts(a):
+    """``a`` as a C-ordered array, a Fortran-ordered one and a strided view
+    that is neither."""
+    rows, cols = a.shape
+    strided = np.zeros((2 * rows, 2 * cols + 1))[::2, 1::2]
+    strided[...] = a
+    return np.ascontiguousarray(a), np.asfortranarray(a), strided
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)

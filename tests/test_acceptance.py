@@ -6,6 +6,7 @@ benchmark results against published reference windows; the suites they
 depend on are session-scoped so the expensive sweeps run once.
 """
 
+import json
 import math
 import time
 import tracemalloc
@@ -18,7 +19,7 @@ from greyimpute.dataset import Dataset, normalize
 from greyimpute.distance import GreyMetric
 from greyimpute.engine import ImputeConfig, prepare, run_impute, sweep
 from greyimpute.evaluate import BenchmarkSpec, benchmark
-from greyimpute.io import SchemaConfig, read_csv
+from greyimpute.io import SchemaConfig, read_csv, write_report
 from greyimpute.relevance import dataset_class_weights
 from greyimpute.synth import gen_cubes, inject_mcar
 
@@ -26,6 +27,7 @@ from _oracles import oracle_one_iteration
 from conftest import build_dataset, random_mixed_dataset
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 SEEDS = tuple(range(1, 11))
 METHODS_CUBE = ("iknn", "gknn", "fwgknn", "cgknn")
 
@@ -277,6 +279,27 @@ def test_criterion_7_invariant_suites(cube_rows, mvn_rows, iris_rows):
         )
 
     _verdict("C7 invariant suites", failures, f"{len(all_rows)} benchmark cells checked")
+
+
+def _same_report(got, want, where):
+    """Keys and non-float values exactly, floats to 1e-12."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and got.keys() == want.keys(), where
+        for key in want:
+            _same_report(got[key], want[key], f"{where}/{key}")
+    elif isinstance(want, float):
+        assert type(got) is float and abs(got - want) <= 1e-12, f"{where}: {got!r} != {want!r}"
+    else:
+        assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
+
+
+def test_results_tables_match_the_committed_reports(cube_rows, mvn_rows, iris_rows):
+    """Beside C3-C7, from the same sweeps: each acceptance scenario's report
+    equals its committed ``results/`` file, so a change that moves any
+    rmse, accuracy, k or iteration count shows up here."""
+    for name, rows in (("cube_mcar", cube_rows[0]), ("mvn_mar", mvn_rows), ("iris_mar", iris_rows[0])):
+        want = json.loads((RESULTS_DIR / f"{name}.report.json").read_text(encoding="utf-8"))
+        _same_report(json.loads(write_report(rows)), want, name)
 
 
 def test_criterion_8_complexity_sanity():

@@ -20,6 +20,7 @@ from greyimpute.relevance import dataset_class_weights
 from greyimpute.synth import gen_cubes
 
 from _oracles import oracle_bounds, oracle_grg, oracle_heom
+from conftest import layouts
 
 NAN = float("nan")
 
@@ -546,15 +547,6 @@ class TestOwnRow:
             emin, emax = _sorted_bounds(q[i:i + 1], np.sort(rest[:, ~cat], axis=0).T, ~cat)
             assert dmin[i:i + 1].tobytes() == emin.tobytes() == gmin[i:i + 1].tobytes()
             assert dmax[i:i + 1].tobytes() == emax.tobytes() == gmax[i:i + 1].tobytes()
-
-
-def layouts(a):
-    """``a`` as a C-ordered array, a Fortran-ordered one and a strided view
-    that is neither."""
-    rows, cols = a.shape
-    strided = np.zeros((2 * rows, 2 * cols + 1))[::2, 1::2]
-    strided[...] = a
-    return np.ascontiguousarray(a), np.asfortranarray(a), strided
 
 
 @st.composite

@@ -1,8 +1,12 @@
+from pathlib import Path
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from greyimpute import evaluate
 from greyimpute.engine import ImputeConfig
 from greyimpute.errors import (
     DataError,
@@ -22,10 +26,13 @@ from greyimpute.evaluate import (
     rmse,
 )
 from greyimpute.folds import effective_fold_count, stratified_fold_ids, stratified_folds
+from greyimpute.io import SchemaConfig, read_csv
 
-from conftest import build_dataset
+from _oracles import oracle_joint_log_likelihood, oracle_nb_fit
+from conftest import build_dataset, layouts
 
 NAN = float("nan")
+DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
 
 def _truth_pair(truth_vals, imputed_vals, positions, **kw):
@@ -131,6 +138,87 @@ class TestNaiveBayes:
         model = nb_fit(build_dataset(x, labels=y))
         pred = nb_predict(model, np.array([[1e6], [-1e6]]))
         assert pred.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("row", [
+        [NAN, 0.0], [np.inf, 0.0], [-np.inf, 0.0],  # non-finite continuous cell
+        [0.0, -1.0], [0.0, 3.0], [0.0, 1.7], [0.0, NAN],  # not a level code
+        [0.0], [0.0, 1.0, 2.0],  # wrong width
+    ], ids=["nan", "inf", "-inf", "code-1", "code3", "code1.7", "code-nan", "narrow", "wide"])
+    def test_malformed_row_is_data_error(self, row):
+        values = np.column_stack([np.arange(6.0), [0, 1, 2, 0, 1, 2]])
+        ds = build_dataset(values, categorical_levels={1: ("a", "b", "c")}, labels=[0, 1] * 3)
+        model = nb_fit(ds)
+        assert nb_predict(model, [0.0, 2.0]).shape == (1,)
+        with pytest.raises(DataError):
+            nb_predict(model, row)
+
+
+@st.composite
+def _nb_tables(draw):
+    """Labeled mixed tables for the naive-Bayes oracle: 1 to 29 features,
+    up to 5 categorical columns of 2 to 4 levels, 2 to 5 classes of uneven
+    sizes (4 to 40 rows), columns scaled from 1e-3 to 1e3, and optionally
+    a constant column and one constant within each class, whose variances
+    hit the floor. Also a copy with about 10% of the cells missing."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(2, 5))
+    labels = rng.permutation(np.repeat(np.arange(m), rng.integers(4, 41, size=m)))
+    n = len(labels)
+    p = draw(st.integers(1, 29))
+    values = rng.normal(size=(n, p)) * 10.0 ** rng.integers(-3, 4, size=p)
+    levels = {}
+    for j in rng.choice(p, size=draw(st.integers(0, min(5, p))), replace=False):
+        k = int(rng.integers(2, 5))
+        levels[int(j)] = tuple(f"l{i}" for i in range(k))
+        values[:, j] = rng.integers(0, k, size=n)
+    cont = np.setdiff1d(np.arange(p), list(levels))
+    if cont.size and draw(st.booleans()):
+        values[:, rng.choice(cont)] = 2.5
+    if cont.size and draw(st.booleans()):
+        values[:, rng.choice(cont)] = 0.5 * labels
+    gappy = np.where(rng.random((n, p)) < 0.1, NAN, values)
+    return values, gappy, levels, labels
+
+
+def _outcome(cv, *args):
+    """A cross-validation's accuracy as exact hex, or its error."""
+    try:
+        return cv(*args).hex()
+    except DataError as exc:
+        return type(exc), str(exc)
+
+
+class TestNaiveBayesOracle:
+    """The per-class block fit and the broadcast scores give the same bits
+    as the per-feature code they replaced (kept in ``_oracles``), whatever
+    the layout of the table or of the rows scored."""
+
+    @given(_nb_tables(), st.sampled_from([2, 3, 10]), st.integers(0, 99))
+    @settings(max_examples=150, deadline=None)
+    def test_same_bits_as_the_per_feature_code(self, table, folds, seed):
+        values, gappy, levels, labels = table
+        for layout in layouts(values)[:2]:
+            ds = build_dataset(layout, levels, labels)
+            model, reference = nb_fit(ds), oracle_nb_fit(ds)
+            for name in ("log_prior", "cont_mean", "cont_var", "categorical"):
+                assert getattr(model, name).tobytes() == getattr(reference, name).tobytes(), name
+            assert model.n_classes == reference.n_classes
+            assert model.cat_log_lik.keys() == reference.cat_log_lik.keys()
+            for j, lik in reference.cat_log_lik.items():
+                assert model.cat_log_lik[j].tobytes() == lik.tobytes()
+            scores = oracle_joint_log_likelihood(reference, values)
+            for rows in layouts(values):
+                assert evaluate._joint_log_likelihood(model, rows).tobytes() == scores.tobytes()
+                assert np.array_equal(nb_predict(model, rows), np.argmax(scores, axis=1))
+        ds = build_dataset(values, levels, labels)
+        holed = build_dataset(np.asfortranarray(gappy), levels, labels)
+        with patch.object(evaluate, "nb_fit", oracle_nb_fit), patch.object(
+            evaluate, "_joint_log_likelihood", oracle_joint_log_likelihood
+        ):
+            expected = [_outcome(kfold_cv, ds, folds, seed),
+                        _outcome(no_imputation_cv, holed, folds, seed)]
+        assert [_outcome(kfold_cv, ds, folds, seed),
+                _outcome(no_imputation_cv, holed, folds, seed)] == expected
 
 
 class TestClassificationAccuracy:
@@ -274,6 +362,24 @@ class TestBenchmark:
     def test_unknown_method_rejected(self):
         with pytest.raises(DataError, match="valid methods"):
             self._small_spec(methods=("meanmode", "sparkle"))
+
+    def test_failed_baseline_marks_its_rows_and_the_sweep_goes_on(self):
+        config = SchemaConfig.from_text((DATA_DIR / "iris.schema.cfg").read_text())
+        iris = read_csv((DATA_DIR / "iris.csv").read_text(), config)
+        spec = BenchmarkSpec(
+            dataset=iris, methods=("meanmode", "gknn"), rates=(0.3, 0.4, 0.5), seeds=(1, 2),
+            mcar_columns=tuple(f.name for f in iris.schema.features), timing=False,
+        )
+        rows = benchmark(spec)
+        assert len(rows) == 12 and all(tuple(r) == REPORT_FIELDS for r in rows)
+        for row in rows:
+            if row["missing_rate"] < 0.5:
+                assert row["error"] is None and row["baseline_accuracy"] is not None
+                assert row["rmse"] is not None
+            else:  # too few complete versicolor rows to fit the baseline
+                assert row["error"].startswith("no-imputation baseline: class 'versicolor' has")
+                assert row["baseline_accuracy"] is None and row["rmse"] is None
+                assert row["wall_time_ms"] == 0.0
 
     def test_failures_recorded_not_raised(self):
         # k larger than any candidate pool forces a per-cell failure
