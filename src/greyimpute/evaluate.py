@@ -102,8 +102,14 @@ class NaiveBayesModel:
     n_classes: int
 
 
+def _refuse_bad_codes(codes: np.ndarray, levels: int, column: str) -> None:
+    if ((codes < 0) | (codes >= levels) | (codes != np.floor(codes))).any():
+        raise DataError(f"column {column} holds a code that is not a level in 0..{levels - 1}")
+
+
 def nb_fit(dataset: Dataset) -> NaiveBayesModel:
-    """Fit on a complete labeled dataset; every class needs >= 2 rows."""
+    """Fit on a complete labeled dataset; every class needs >= 2 rows and
+    every categorical cell must be a whole level code."""
     if dataset.labels is None:
         raise DataError("naive Bayes needs class labels")
     if not dataset.mask.all():
@@ -128,10 +134,10 @@ def nb_fit(dataset: Dataset) -> NaiveBayesModel:
         block = np.ascontiguousarray(cols[:, dataset.labels == y])
         mean[y, cont] = block.mean(axis=1)
         var[y, cont] = np.maximum(block.var(axis=1), VARIANCE_FLOOR)
-    for j in range(p):
-        if not cat[j]:
-            continue
-        k = len(dataset.schema.features[j].levels)
+    for j in np.flatnonzero(cat):
+        feat = dataset.schema.features[j]
+        k = len(feat.levels)
+        _refuse_bad_codes(dataset.values[:, j], k, repr(feat.name))
         codes = dataset.labels * k + dataset.values[:, j].astype(int)
         table = np.bincount(codes, minlength=m * k).reshape(m, k).astype(float)
         cat_log_lik[j] = np.log((table + 1.0) / (table.sum(axis=1, keepdims=True) + k))
@@ -174,9 +180,7 @@ def nb_predict(model: NaiveBayesModel, values: np.ndarray) -> np.ndarray:
     if not np.isfinite(values).all():
         raise DataError("rows to classify must be complete and finite")
     for j, table in model.cat_log_lik.items():
-        codes = values[:, j]
-        if ((codes < 0) | (codes >= table.shape[1]) | (codes != np.floor(codes))).any():
-            raise DataError(f"column {j} holds a code that is not a level in 0..{table.shape[1] - 1}")
+        _refuse_bad_codes(values[:, j], table.shape[1], str(j))
     return np.argmax(_joint_log_likelihood(model, values), axis=1)
 
 

@@ -8,11 +8,13 @@ majority votes, inverse-square / rank-weighted cell estimators, the exact
 n x n Parzen conditional entropy, and one full imputation sweep per
 method. No code is shared with the package beyond the Dataset container.
 
-The naive-Bayes pair is the exception: :func:`oracle_nb_fit` and
-:func:`oracle_joint_log_likelihood` are the package's earlier per-feature
-numpy code, kept verbatim as the bit-for-bit reference for the per-class
-block version (one numpy call per class x feature statistic, one Gaussian
-term per feature).
+Three groups are the exception: the package's earlier numpy code, kept
+verbatim as bit-for-bit references for the array versions that replaced
+it. :func:`oracle_nb_fit` and :func:`oracle_joint_log_likelihood` are the
+per-feature naive Bayes (one numpy call per class x feature statistic, one
+Gaussian term per feature); :func:`oracle_feature_feature_weights` is the
+inter-feature MI with one contingency table per feature pair; and
+:func:`oracle_column_fill` takes each column's mean or mode on its own.
 """
 
 import math
@@ -319,3 +321,60 @@ def oracle_joint_log_likelihood(model, values):
             var = model.cont_var[:, j]
             scores += -0.5 * (np.log(2.0 * np.pi * var) + (col[:, None] - mu) ** 2 / var)
     return scores
+
+
+def _oracle_plogp(p):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(p > 0.0, p * np.log2(p), 0.0)
+
+
+def _oracle_entropy(counts):
+    counts = np.asarray(counts, dtype=float)
+    return float(-_oracle_plogp(counts / counts.sum()).sum())
+
+
+def _oracle_conditional_entropy(joint):
+    joint = np.asarray(joint, dtype=float)
+    p_xy = joint / joint.sum()
+    p_x = p_xy.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_y_given_x = np.where(p_x > 0, p_xy / p_x, 0.0)
+        terms = np.where(p_xy > 0, p_xy * np.log2(p_y_given_x), 0.0)
+    return float(-terms.sum())
+
+
+def oracle_feature_feature_weights(dataset, bins=10):
+    cat = dataset.schema.categorical_mask
+    p = dataset.p
+    cols = []
+    for j in range(p):
+        col = dataset.values[:, j]
+        if cat[j]:
+            cols.append(col.astype(int))
+        else:
+            edges = np.quantile(col, np.linspace(0, 1, bins + 1)[1:-1])
+            cols.append(np.searchsorted(edges, col, side="right"))
+    mi = np.zeros((p, p))
+    for a in range(p):
+        for b in range(a + 1, p):
+            ka, kb = cols[a].max() + 1, cols[b].max() + 1
+            cells = cols[a] * kb + cols[b]
+            table = np.bincount(cells, minlength=ka * kb).reshape(ka, kb).astype(float)
+            h_b = _oracle_entropy(table.sum(axis=0))
+            mi[a, b] = mi[b, a] = max(0.0, h_b - _oracle_conditional_entropy(table))
+    scores = mi.sum(axis=1) / max(p - 1, 1)
+    total = scores.sum()
+    return np.full(p, 1.0 / p) if total <= 0.0 else scores / total
+
+
+def oracle_column_fill(values, schema):
+    out = np.full(values.shape[1], np.nan)
+    for j, feat in enumerate(schema.features):
+        obs = values[~np.isnan(values[:, j]), j]
+        if not obs.size:
+            continue
+        if feat.levels is None:
+            out[j] = obs.mean()
+        else:
+            out[j] = np.argmax(np.bincount(obs.astype(int), minlength=len(feat.levels)))
+    return out

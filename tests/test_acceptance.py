@@ -281,25 +281,30 @@ def test_criterion_7_invariant_suites(cube_rows, mvn_rows, iris_rows):
     _verdict("C7 invariant suites", failures, f"{len(all_rows)} benchmark cells checked")
 
 
-def _same_report(got, want, where):
-    """Keys and non-float values exactly, floats to 1e-12."""
+def _report_gaps(got, want, where):
+    """Every place where ``got`` departs from ``want``: keys and non-float
+    values exactly, floats to 1e-12."""
     if isinstance(want, dict):
-        assert isinstance(got, dict) and got.keys() == want.keys(), where
-        for key in want:
-            _same_report(got[key], want[key], f"{where}/{key}")
-    elif isinstance(want, float):
-        assert type(got) is float and abs(got - want) <= 1e-12, f"{where}: {got!r} != {want!r}"
+        if not isinstance(got, dict) or got.keys() != want.keys():
+            return [f"{where}: keys differ"]
+        return [gap for key in want for gap in _report_gaps(got[key], want[key], f"{where}/{key}")]
+    if isinstance(want, float):
+        same = type(got) is float and abs(got - want) <= 1e-12
     else:
-        assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
+        same = type(got) is type(want) and got == want
+    return [] if same else [f"{where}: {got!r} != {want!r}"]
 
 
 def test_results_tables_match_the_committed_reports(cube_rows, mvn_rows, iris_rows):
     """Beside C3-C7, from the same sweeps: each acceptance scenario's report
     equals its committed ``results/`` file, so a change that moves any
-    rmse, accuracy, k or iteration count shows up here."""
+    rmse, accuracy, k or iteration count shows up here, every moved field
+    listed in one failure."""
+    gaps = []
     for name, rows in (("cube_mcar", cube_rows[0]), ("mvn_mar", mvn_rows), ("iris_mar", iris_rows[0])):
         want = json.loads((RESULTS_DIR / f"{name}.report.json").read_text(encoding="utf-8"))
-        _same_report(json.loads(write_report(rows)), want, name)
+        gaps += _report_gaps(json.loads(write_report(rows)), want, name)
+    assert not gaps, f"{len(gaps)} field(s) moved:\n" + "\n".join(gaps)
 
 
 def test_criterion_8_complexity_sanity():

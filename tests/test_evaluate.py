@@ -152,6 +152,18 @@ class TestNaiveBayes:
         with pytest.raises(DataError):
             nb_predict(model, row)
 
+    @pytest.mark.parametrize("row, code", [(2, 3.0), (3, 3.0), (0, -1.0), (4, 1.5)],
+                             ids=["past-levels-class0", "past-levels-last-class", "negative", "fraction"])
+    def test_bad_training_code_names_its_column(self, row, code):
+        # a code of 3 in class 0 used to be counted into class 1's table; in
+        # the last class it ran off the table with numpy's ValueError
+        codes = np.array([0.0, 1.0, 2.0, 0.0, 1.0, 2.0])
+        codes[row] = code
+        ds = build_dataset(np.column_stack([np.arange(6.0), codes]),
+                           categorical_levels={1: ("a", "b", "c")}, labels=[0, 1] * 3)
+        with pytest.raises(DataError, match="column 'f1' holds a code"):
+            nb_fit(ds)
+
 
 @st.composite
 def _nb_tables(draw):

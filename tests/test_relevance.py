@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greyimpute import relevance
 from greyimpute.dataset import Dataset, Schema
@@ -21,8 +23,8 @@ from greyimpute.relevance import (
 )
 from greyimpute.synth import gen_cubes
 
-from _oracles import oracle_parzen_conditional_entropy
-from conftest import build_dataset
+from _oracles import oracle_feature_feature_weights, oracle_parzen_conditional_entropy
+from conftest import build_dataset, layouts
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -82,6 +84,18 @@ class TestParzenConditionalEntropy:
     def test_single_class_is_zero(self, rng):
         x = rng.normal(size=30)
         assert parzen_conditional_entropy(x, np.zeros(30, dtype=int), 1) == 0.0
+
+    def test_classes_past_the_kernel_cutoff_are_certain(self):
+        # 190 rows near 0 and 10 near 1 sit about 11.8 bandwidths apart, past
+        # the 9 h cut-off, so every cross-class sum is exactly 0; the FFT's
+        # rounding leaves about 1e-16 there unless it is set back to 0
+        rng = np.random.default_rng(0)
+        x = np.concatenate([rng.uniform(0.0, 0.05, 190), rng.uniform(1.0, 1.05, 10)])
+        y = np.repeat([0, 1], [190, 10])
+        h = relevance.BANDWIDTH_FACTOR * np.std(x, ddof=1) * len(x) ** -0.2
+        assert 0.95 > relevance.KERNEL_CUTOFF * h
+        assert parzen_conditional_entropy(x, y, 2) == 0.0
+        assert mutual_information(x, y, False, 2).mi == entropy_discrete([190, 10])
 
     def test_constant_feature_hits_bandwidth_floor(self):
         x = np.full(10, 3.0)
@@ -301,6 +315,42 @@ class TestFeatureFeatureWeights:
     def test_single_feature(self, rng):
         ds = build_dataset(rng.normal(size=(20, 1)))
         assert feature_feature_weights(ds).tolist() == [1.0]
+
+
+@st.composite
+def _binned_tables(draw):
+    """Complete tables for the inter-feature MI oracle: 2 to 30 features,
+    each categorical with 2 to 6 levels, continuous with 2 to 14 distinct
+    values (ties merge equal-frequency edges, leaving fewer than 10 bins) or
+    continuous with no ties, so the feature pairs fall into tables of many
+    shapes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(10, 150))
+    p = draw(st.integers(2, 30))
+    values = rng.normal(size=(n, p))
+    levels = {}
+    for j, kind in enumerate(rng.integers(0, 3, size=p)):
+        if kind == 0:
+            k = int(rng.integers(2, 7))
+            levels[j] = tuple(f"l{i}" for i in range(k))
+            values[:, j] = rng.integers(0, k, size=n)
+        elif kind == 1:
+            values[:, j] = 0.1 * rng.integers(0, rng.integers(2, 15), size=n)
+    return values, levels
+
+
+class TestFeatureFeatureOracle:
+    """The pairs batched by table shape give the same bits as the per-pair
+    loop they replaced (kept in ``_oracles``)."""
+
+    @given(_binned_tables())
+    @settings(max_examples=100, deadline=None)
+    def test_same_bits_as_the_per_pair_code(self, table):
+        values, levels = table
+        for layout in layouts(values)[:2]:
+            ds = build_dataset(layout, levels)
+            got = feature_feature_weights(ds)
+            assert np.array_equal(got, oracle_feature_feature_weights(ds)), got
 
 
 class TestWeightInvariants:
