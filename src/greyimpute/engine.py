@@ -11,12 +11,15 @@ or the iteration cap is hit.
 
 Sweeps update the iterate in place over a fixed ascending row order, so a
 run is fully deterministic and later rows benefit from earlier rows'
-refreshed estimates within the same pass. The iterate is feature-major
-(Fortran order), which the distance kernel reads without a copy. Observed
-cells are never touched: the output matrix is composed from the original
-input plus the imputed cells only. One block cell estimator
-(:func:`_estimate_rows`) fills the gaps of the sweeps, a row at a time,
-and of :func:`impute_test`, a block.
+refreshed estimates within the same pass. The rows that rank once (fixed
+rows) are estimated in levels, blocks that give the bits of that order,
+and those whose cells can no longer change are skipped after the first
+sweep. The iterate is feature-major (Fortran order), which the distance
+kernel reads without a copy. Observed cells are never touched: the output
+matrix is composed from the original input plus the imputed cells only.
+One block cell estimator (:func:`_estimate_rows`) fills the gaps of the
+sweeps, a level or a re-ranked row at a time, and of :func:`impute_test`,
+a block.
 
 Method variants differ along four orthogonal axes captured by
 :class:`MethodPlan`: candidate pool (whole matrix vs same class), metric
@@ -154,13 +157,17 @@ class ImputationResult:
     trace: tuple[float, ...]
     iterations: int
     chosen_k: int
-    weights_used: np.ndarray | None
     mi_estimates: tuple[MIEstimate, ...] | None
     converged: bool
     used_pool_fallback: bool
     ranges: RangeTable
     plan: MethodPlan
     metric: object
+
+    @property
+    def weights_used(self) -> np.ndarray | None:
+        """The metric's feature weights; None when it weighs features equally."""
+        return self.metric.weights
 
 
 def column_fill(values: np.ndarray, schema) -> np.ndarray:
@@ -223,6 +230,12 @@ def _nearest(d: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+# Fixed rows ranked per unscreened kernel call. Every row of a block holds
+# a (features x candidates) slab of gaps: with 16 rows, or 1, one operation
+# of the cube benchmark allocated at most 3.4 MB at once; 32 rows took 5.2.
+FIXED_BLOCK = 16
+
+
 def _ranked_blocks(metric, queries, candidates, k, own=None):
     """(offset, distances, indices) of each query's k nearest candidates
     other than its ``own`` row, if given (see :mod:`greyimpute.distance`),
@@ -233,14 +246,13 @@ def _ranked_blocks(metric, queries, candidates, k, own=None):
     block through its :class:`~greyimpute.distance.GreyScreen`, which
     scores in full only the candidates a float32 partial grade over the
     heavy features cannot rule out, each query's cut lowered by a proven
-    bound on that grade's rounding; the result is the same bits. On
-    ``scale-4k`` 0.81% of the pairs of k selection survive. Screened
+    bound on that grade's rounding; the result is the same bits. Screened
     blocks are sized for the survivors' arrays should every pair survive,
     which is more than the float32 grades take. A lone query is
     scored in full, which costs less than sorting the candidate columns.
-    Unscreened queries with an ``own`` row (the sweeps' fixed rows) go one
-    per block: pool-sized blocks raised the peak memory of 400-row runs by
-    a seventh. The sweeps rank their moving rows themselves."""
+    Unscreened queries with an ``own`` row (the sweeps' fixed rows) go at
+    most :data:`FIXED_BLOCK` per block. The sweeps rank their moving rows
+    themselves."""
     lone = len(queries) < 2
     screen = metric.screen(candidates) if isinstance(metric, GreyMetric) and not lone else None
     # 8-byte values per (query, candidate) pair: the full kernel's gaps for
@@ -249,7 +261,9 @@ def _ranked_blocks(metric, queries, candidates, k, own=None):
     # order), more than its float32 partial grades, one feature's float32
     # terms and a bool mask take (9 bytes)
     width = candidates.shape[1] if screen is None else 0
-    step = 1 if screen is None and own is not None else block_rows(len(candidates), width + 4)
+    step = block_rows(len(candidates), width + 4)
+    if screen is None and own is not None:
+        step = min(step, FIXED_BLOCK)
     for start in range(0, len(queries), step):
         block = queries[start:start + step]
         mine = None if own is None else own[start:start + step]
@@ -332,7 +346,7 @@ class RunState:
     gaps: dict[int, tuple]  # incomplete row -> its gap cells as a block of one
     queries: dict[int, tuple]  # incomplete row -> (query block of one, own position in pool)
     used_pool_fallback: bool
-    fixed: dict[int, tuple] | None = None  # see _rank_fixed
+    fixed: _Schedule | None = None  # set by the first sweep (_schedule)
 
 
 @dataclass(frozen=True)
@@ -445,22 +459,105 @@ def _pool_values(values: np.ndarray, pool: np.ndarray) -> np.ndarray:
     return values if len(pool) == len(values) else values.T.take(pool, axis=1).T
 
 
-def _rank_fixed(state: RunState) -> dict[int, tuple]:
-    """(donor rows, distances) of each fixed row, one whose pool has no gap
-    where the row is observed: the metrics read a candidate only there, and
-    only gaps change, so its ranking holds for the run. One call per pool."""
-    mask, groups = state.dataset.mask, {}
+def _rank_fixed(state: RunState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fixed rows, ascending, and their donor rows and distances (rows
+    x k, nearest first). A fixed row's pool has no gap where the row is
+    observed: the metrics read a candidate only there, and only gaps
+    change, so its ranking holds for the run. One call per pool and block."""
+    mask, groups, k = state.dataset.mask, {}, state.k
     for r, pool in state.pools.items():
         groups.setdefault(id(pool), (pool, []))[1].append(r)
-    fixed = {}
-    for pool, rows in groups.values():
-        gappy = ~mask[pool].all(axis=0)
-        rows = [r for r in rows if not (mask[r] & gappy).any()]
-        queries = np.where(mask[rows], state.values[rows], np.nan)
-        candidates, own = _pool_values(state.values, pool), np.searchsorted(pool, rows)
-        for at, dist, near in _ranked_blocks(state.metric, queries, candidates, state.k, own):
-            fixed.update((r, (pool[idx], d)) for r, d, idx in zip(rows[at:], dist, near))
-    return fixed
+    rows, idx, dist = [np.empty(0, np.intp)], [np.empty((0, k), np.intp)], [np.empty((0, k))]
+    for pool, members in groups.values():
+        members = np.array(members)
+        members = members[~(mask[members] & ~mask[pool].all(axis=0)).any(axis=1)]
+        queries = np.where(mask[members], state.values[members], np.nan)
+        candidates, own = _pool_values(state.values, pool), np.searchsorted(pool, members)
+        for _, d, near in _ranked_blocks(state.metric, queries, candidates, k, own):
+            idx.append(pool[near])
+            dist.append(d)
+        rows.append(members)
+    rows = np.concatenate(rows)
+    order = np.argsort(rows)
+    return rows[order], np.concatenate(idx)[order], np.concatenate(dist)[order]
+
+
+@dataclass(frozen=True, eq=False)
+class _Level:
+    """Fixed rows estimated in one :func:`_estimate_rows` call, which reads
+    every cell before any is written: the rows, ascending, their donors and
+    distances (rows x k, nearest first), their gap cells (:func:`_gap_cells`)
+    and those cells' (rows, columns) in the iterate."""
+
+    rows: np.ndarray
+    idx: np.ndarray
+    dist: np.ndarray
+    gaps: tuple
+    cells: tuple
+
+    @classmethod
+    def of(cls, rows, idx, dist, mask, categorical) -> _Level:
+        gaps = _gap_cells(mask[rows], categorical)
+        return cls(rows, idx, dist, gaps, (rows[gaps[0]], gaps[1]))
+
+
+@dataclass(frozen=True, eq=False)
+class _Schedule:
+    """The sweep order the first sweep settles: ``steps`` holds a moving
+    row, or a level with its non-static rows (None if it has none), in the
+    order a row-by-row sweep reaches them. ``neighbors`` maps each fixed
+    row to its donors."""
+
+    steps: tuple
+    neighbors: dict[int, np.ndarray]
+
+
+def _schedule(state: RunState, rows, idx, dist) -> _Schedule:
+    """Group the fixed rows ``rows`` (ascending, with their donors ``idx``
+    and distances ``dist``) into levels whose blocks give the bits of the
+    row-by-row sweep (level scheduling of a triangular solve, Anderson &
+    Saad 1989).
+
+    A row reads a donor's cell that can change only where the donor has a
+    gap in one of the row's gap columns: a hot donor. A segment is a run of
+    fixed rows between two moving rows, which stay barriers. Walking the
+    rows ascending, a row's level is above that of each hot donor before it
+    in its segment, whose new cells it must read, and at or below that of
+    each hot donor after it, whose old cells it must read. A row with no
+    hot donor is static: its estimate never changes after the first sweep."""
+    mask, cat = state.dataset.mask, state.metric.categorical
+    gap = ~mask
+    hot = (gap[idx] & gap[rows][:, None, :]).any(axis=2)
+    fixed = np.zeros(len(mask), dtype=bool)
+    fixed[rows] = True
+    incomplete = np.fromiter(state.pools, np.intp, len(state.pools))
+    moving = incomplete[~fixed[incomplete]]
+    segment = np.searchsorted(moving, np.arange(len(mask)))  # moving rows before each row
+    linked = hot & fixed[idx] & (segment[idx] == segment[rows][:, None])
+    level = dict.fromkeys(rows.tolist(), 0)  # a row's floor until it is walked
+    for r, donors, links in zip(level, idx.tolist(), linked.tolist()):
+        for d, on in zip(donors, links):
+            if on and d < r:
+                level[r] = max(level[r], level[d] + 1)
+        for d, on in zip(donors, links):
+            if on and d > r:
+                level[d] = max(level[d], level[r])
+    levels = np.fromiter(level.values(), np.intp, len(rows))
+    order = np.lexsort((levels, segment[rows]))  # stable: rows stay ascending
+    cuts = np.flatnonzero(np.diff(segment[rows][order]) | np.diff(levels[order])) + 1
+    static = ~hot.any(axis=1)
+    blocks = {}  # segment -> its levels
+    for at in np.split(order, cuts) if len(order) else ():
+        whole = _Level.of(rows[at], idx[at], dist[at], mask, cat)
+        live = at[~static[at]]
+        part = _Level.of(rows[live], idx[live], dist[live], mask, cat) if len(live) else None
+        blocks.setdefault(int(segment[rows[at[0]]]), []).append((whole, part))
+    steps = []
+    for s, r in enumerate(moving.tolist() + [None]):
+        steps += blocks.get(s, [])
+        if r is not None:
+            steps.append(r)
+    return _Schedule(tuple(steps), dict(zip(rows.tolist(), idx)))
 
 
 def _gap_cells(observed: np.ndarray, categorical: np.ndarray) -> tuple:
@@ -526,41 +623,64 @@ def sweep(state: RunState) -> SweepResult:
     missing, so those features hit the metrics' missing-cell branches
     instead of anchoring the search on their own current estimates.
 
-    The first sweep ranks the fixed rows once for the run
-    (:func:`_rank_fixed`); every sweep re-ranks the other (moving) rows,
-    row by row: one ``metric.distances`` call on the query, own position
-    and pool that :func:`prepare` settled, then the first k of a stable
-    argsort, which :func:`_nearest` is defined to equal. Each row's gap
-    cells are estimated as a block of one row.
-
     Updates land in the iterate immediately (fixed ascending row order, so
     runs are deterministic); rows later in the sweep see the refreshed
     estimates of earlier ones, which damps the donor flip-flop cycles a
     hold-everything-then-update schedule falls into on correlated data.
+
+    The first sweep ranks the fixed rows once for the run, in blocks
+    (:func:`_rank_fixed`), and groups them into levels (:func:`_schedule`).
+    Each level is estimated in one call that reads before it writes, which
+    gives the bits of the row-by-row order; from the second sweep on, the
+    static rows are skipped, as their cells can no longer change. Every
+    sweep re-ranks the other (moving) rows in their place in the order,
+    row by row: one ``metric.distances`` call on the query, own position
+    and pool that :func:`prepare` settled, then the first k of a stable
+    argsort, which :func:`_nearest` is defined to equal; each row's gap
+    cells are estimated as a block of one row.
     """
-    if state.fixed is None:
-        state.fixed = _rank_fixed(state)
-    cat, values = state.metric.categorical, state.values
-    neighbors_out: dict[int, np.ndarray] = {}
+    first = state.fixed is None
+    if first:
+        state.fixed = _schedule(state, *_rank_fixed(state))
+    cat, values, weighted = state.metric.categorical, state.values, state.plan.weighted_cells
+    neighbors_out: dict[int, np.ndarray] = dict.fromkeys(state.pools)
+    neighbors_out.update(state.fixed.neighbors)
     max_change = 0.0
-    for r, pool in state.pools.items():
-        gaps = state.gaps[r]
-        if r in state.fixed:
-            idx, dist = state.fixed[r]
-        else:
+    for step in state.fixed.steps:
+        if isinstance(step, int):  # a moving row
+            r, pool, gaps = step, state.pools[step], state.gaps[step]
             query, own = state.queries[r]
             d = state.metric.distances(query, _pool_values(values, pool), own)[0]
             near = d.argsort(kind="stable")[:state.k]
             idx, dist = pool[near], d[near]
-        neighbors_out[r] = idx
-        est = _estimate_rows(values, idx[None], dist[None], gaps, state.plan.weighted_cells)
-        # cell by cell: a row has a few gaps, and array calls cost more here
-        for j, e in zip(gaps[1].tolist(), est.tolist()):
-            old = values[r, j]
-            change = (0.0 if e == old else 1.0) if cat[j] else abs(e - old)
-            values[r, j] = e
-            max_change = max(max_change, change)
+            neighbors_out[r] = idx
+            est = _estimate_rows(values, idx[None], dist[None], gaps, weighted)
+            max_change = max(max_change, _store(values, r, gaps[1], est, cat))
+        elif (level := step[0] if first else step[1]) is not None:
+            est = _estimate_rows(values, level.idx, level.dist, level.gaps, weighted)
+            max_change = max(max_change, _store(values, *level.cells, est, cat))
     return SweepResult(max_change, neighbors_out)
+
+
+def _store(values, rows, cols, est, categorical) -> float:
+    """Write ``est`` into the iterate's cells (``rows``, ``cols``), where
+    ``rows`` is one row or an array of one per cell, and return the largest
+    change: |new - old|, or 1 for a categorical cell whose level changed. A
+    NaN change is skipped."""
+    if len(est) > 8:  # past a few cells, array calls cost less than a loop
+        change = np.abs(est - values[rows, cols])
+        voted = categorical[cols]
+        change[voted] = change[voted] != 0.0
+        values[rows, cols] = est
+        return float(np.fmax.reduce(change))
+    top = 0.0
+    at = [rows] * len(est) if isinstance(rows, int) else rows.tolist()
+    for i, j, e in zip(at, cols.tolist(), est.tolist()):
+        old = values[i, j]
+        change = (0.0 if e == old else 1.0) if categorical[j] else abs(e - old)
+        values[i, j] = e
+        top = max(top, change)
+    return top
 
 
 def _completed(dataset: Dataset, ranges: RangeTable, unit: np.ndarray) -> Dataset:
@@ -576,7 +696,6 @@ def _compose_result(state: RunState, trace: list[float], converged: bool) -> Imp
         trace=tuple(trace),
         iterations=len(trace),
         chosen_k=state.k,
-        weights_used=state.metric.weights,
         mi_estimates=state.mi_estimates,
         converged=converged,
         used_pool_fallback=state.used_pool_fallback,

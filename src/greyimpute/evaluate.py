@@ -73,20 +73,16 @@ def rmse(truth: Dataset, imputed: Dataset, positions: np.ndarray) -> float:
     m = int(positions.sum())
     if m == 0:
         raise EmptyMaskError("no masked cells to score")
-    cat = truth.schema.categorical_mask
-    spans = RangeTable.from_dataset(truth).spans
-    total = 0.0
-    rows, cols = np.nonzero(positions)
-    for i, j in zip(rows, cols):
-        t, v = truth.values[i, j], imputed.values[i, j]
-        if np.isnan(t) or np.isnan(v):
-            raise DataError(f"cell ({i}, {j}) is missing on one side")
-        if cat[j]:
-            err = 0.0 if t == v else 1.0
-        else:
-            err = (t - v) / spans[j]
-        total += err * err
-    return float(np.sqrt(total / m))
+    rows, cols = np.nonzero(positions)  # row-major
+    t, v = truth.values[rows, cols], imputed.values[rows, cols]
+    missing = np.isnan(t) | np.isnan(v)
+    if missing.any():
+        at = int(missing.argmax())
+        raise DataError(f"cell ({rows[at]}, {cols[at]}) is missing on one side")
+    spans = RangeTable.from_dataset(truth).spans[cols]
+    err = np.where(truth.schema.categorical_mask[cols], t != v, (t - v) / spans)
+    # a running sum adds the cells left to right, as a loop would
+    return float(np.sqrt(np.cumsum(err * err)[-1] / m))
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,16 @@ verbatim as bit-for-bit references for the array versions that replaced
 it. :func:`oracle_nb_fit` and :func:`oracle_joint_log_likelihood` are the
 per-feature naive Bayes (one numpy call per class x feature statistic, one
 Gaussian term per feature); :func:`oracle_feature_feature_weights` is the
-inter-feature MI with one contingency table per feature pair; and
-:func:`oracle_column_fill` takes each column's mean or mode on its own.
+inter-feature MI with one contingency table per feature pair;
+:func:`oracle_column_fill` takes each column's mean or mode on its own; and
+:func:`oracle_rmse` adds the squared errors one cell at a time.
 """
 
 import math
 
 import numpy as np
 
+from greyimpute.dataset import RangeTable
 from greyimpute.errors import DataError, DegenerateClassError
 from greyimpute.evaluate import NaiveBayesModel
 
@@ -378,3 +380,20 @@ def oracle_column_fill(values, schema):
         else:
             out[j] = np.argmax(np.bincount(obs.astype(int), minlength=len(feat.levels)))
     return out
+
+
+def oracle_rmse(truth, imputed, positions):
+    cat = truth.schema.categorical_mask
+    spans = RangeTable.from_dataset(truth).spans
+    total = 0.0
+    rows, cols = np.nonzero(positions)
+    for i, j in zip(rows, cols):
+        t, v = truth.values[i, j], imputed.values[i, j]
+        if np.isnan(t) or np.isnan(v):
+            raise DataError(f"cell ({i}, {j}) is missing on one side")
+        if cat[j]:
+            err = 0.0 if t == v else 1.0
+        else:
+            err = (t - v) / spans[j]
+        total += err * err
+    return float(np.sqrt(total / len(rows)))

@@ -514,7 +514,7 @@ class TestOwnRow:
     @given(own_case(), st.booleans())
     @settings(max_examples=100, deadline=None)
     def test_ranked_blocks_leave_the_own_row_out(self, case, weighted):
-        # screened in blocks, or unscreened one row at a time
+        # screened in blocks, or unscreened in blocks of at most FIXED_BLOCK rows
         candidates, queries, own, cat, weights, rho, k = case
         metric = GreyMetric(cat, rho, weights if weighted else None)
         d = metric.distances(queries, candidates, own)

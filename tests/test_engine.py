@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greyimpute import distance
+from greyimpute import distance, engine
 from greyimpute.distance import GreyMetric, HeomMetric
 from greyimpute.engine import (
     DEFAULT_K_GRID,
@@ -284,6 +284,36 @@ class TestBlockBudget:
         monkeypatch.setattr(distance, "BLOCK_BYTES", budget)
         assert np.array_equal(impute_test(result, test).values, whole)
 
+    @pytest.mark.parametrize("budget", [1, 50_000])
+    @pytest.mark.parametrize("method", ["iknn", "gknn", "cgknn"])
+    def test_fixed_rows(self, rng, monkeypatch, budget, method):
+        # gaps in x0 only, so every incomplete row is fixed; cgknn's
+        # override weights rank them through the screen
+        values, labels, cat, weights = screened_table(rng, 90)
+        values[1:, 0][rng.random(89) < 0.4] = NAN
+        ds = build_dataset(values, {1: ("a", "b", "c")}, labels)
+        config = ImputeConfig(method=method, k=3)
+        weights = weights if method == "cgknn" else None
+
+        def run():
+            # the level blocks' arrays, then each sweep's change, neighbors and iterate
+            state = prepare(ds, config, weights_override=weights)
+            sweeps = [(sweep(state), state.values.tobytes()) for _ in range(5)]
+            levels = [step for step in state.fixed.steps if not isinstance(step, int)]
+            assert len(levels) > 1
+            arrays = [
+                [a.tobytes() for level in step if level for a in (level.rows, level.idx, level.dist)]
+                for step in levels
+            ]
+            return arrays, [
+                (result.max_change, {r: d.tolist() for r, d in result.neighbors.items()}, iterate)
+                for result, iterate in sweeps
+            ]
+
+        whole = run()
+        monkeypatch.setattr(distance, "BLOCK_BYTES", budget)
+        assert run() == whole
+
 
 class TestNearestNeighbors:
     """Ranking a query against candidates the way a sweep does: one-row
@@ -497,6 +527,14 @@ class TestWeightsOverride:
         result = run_plan(ds, ImputeConfig(method="cgknn", k=3), PLANS[Method.CGKNN], weights)
         assert result.weights_used.tolist() == weights.tolist()
 
+    @pytest.mark.parametrize("method", ["iknn", "cgknn"])
+    def test_weights_used_are_the_metrics_own(self, method):
+        result = run_impute(inject_mcar(gen_cubes(1), ["x1"], 0.1, 1), ImputeConfig(method, k=3))
+        assert result.weights_used is result.metric.weights
+        assert (result.weights_used is None) == (method == "iknn")
+        with pytest.raises(AttributeError):
+            result.weights_used = None
+
 
 def reference_sweep(state):
     """One sweep that re-ranks every incomplete row against its pool with
@@ -646,6 +684,97 @@ class TestManySweeps:
         # rows 1 and 7 observe column 1, where rows 4 and 9 have gaps, and
         # row 9 observes column 0; row 4 observes neither gappy column
         assert calls == ([1, 1, 1] if two_columns else [])
+
+
+def level_table(data):
+    """A table, method and k for :class:`TestLevelledSweeps`. Gaps fall in
+    one to three columns, a categorical one among them when drawn: a row
+    gapped in all of them is fixed, and a row gapped in some is moving once
+    another gappy column has a gap, so fixed and moving rows interleave.
+    Cells on a coarse grid tie, some rows repeat others exactly, and a class
+    of one or two rows makes per-class pools fall back to every row."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    k = data.draw(st.integers(1, 15))
+    n = data.draw(st.integers(k + 2, k + 30))
+    p = data.draw(st.integers(2, 5))
+    values = np.round(rng.random((n, p)), 1)
+    levels = {j: ("a", "b", "c") for j in range(p) if data.draw(st.booleans())}
+    for j in levels:
+        values[:, j] = rng.integers(0, 3, n)
+    copies = np.flatnonzero(rng.random(n) < 0.2)
+    values[copies] = values[rng.integers(0, n, len(copies))]
+    gappy = rng.permutation(p)[:data.draw(st.integers(1, min(3, p)))]
+    holes = np.zeros((n, p), dtype=bool)
+    draw = rng.random(n)
+    some = (draw >= 0.4) & (draw < 0.6)
+    holes[np.ix_(draw < 0.4, gappy)] = True
+    holes[some, rng.choice(gappy, n)[some]] = True
+    holes[0] = False  # every column observed somewhere
+    classes = data.draw(st.integers(1, 3))
+    labels = rng.integers(0, classes, n)
+    if classes > 1 and data.draw(st.booleans()):
+        labels[labels == classes - 1] = 0
+        labels[rng.integers(0, n, 2)] = classes - 1
+    labels[:classes] = np.arange(classes)
+    ds = with_gaps(build_dataset(values, levels, labels), holes)
+    return ds, data.draw(st.sampled_from(TestManySweeps.METHODS)), k
+
+
+def reference_change(before, after, mask, categorical):
+    """The largest change of a sweep over the gap cells: |new - old|, or 1
+    for a categorical cell whose level moved."""
+    rows, cols = np.nonzero(~mask)
+    return max(
+        [0.0] + [(float(a != b) if categorical[j] else abs(a - b))
+                 for a, b, j in zip(after[rows, cols], before[rows, cols], cols)]
+    )
+
+
+class TestLevelledSweeps:
+    """Fixed rows are estimated a level at a time and static rows only in
+    the first sweep; the iterate, neighbors and largest change must stay
+    those of the row-by-row order."""
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_five_sweeps_equal_the_row_by_row_reference(self, data):
+        ds, method, k = level_table(data)
+        config = ImputeConfig(method=method, k=k)
+        state, reference = prepare(ds, config), prepare(ds, config)
+        for _ in range(5):
+            before = reference.values.copy()
+            result = sweep(state)
+            expected = reference_sweep(reference)
+            assert list(result.neighbors) == list(expected)
+            for r, donors in expected.items():
+                assert np.array_equal(result.neighbors[r], donors), r
+            assert state.values.tobytes() == reference.values.tobytes()
+            assert result.max_change == reference_change(
+                before, reference.values, ds.mask, state.metric.categorical
+            )
+
+    def test_a_static_row_is_estimated_in_the_first_sweep_only(self, monkeypatch):
+        # gaps in x0 only, so every incomplete row is fixed; with k = 1 row
+        # 1's donor is row 0, which is complete (static), and rows 3 and 4
+        # are each other's donor: row 4 must see row 3's new cell
+        ds = build_dataset(
+            [[0.1, 0.0], [NAN, 0.0], [0.5, 1.0], [NAN, 1.1], [NAN, 1.15], [0.9, 3.0]],
+            labels=[0, 0, 1, 1, 1, 0],
+        )
+        state = prepare(ds, ImputeConfig(method="iknn", k=1))
+        cells = []
+        estimate = engine._estimate_rows
+        monkeypatch.setattr(
+            engine, "_estimate_rows",
+            lambda *args: cells.append(len(args[3][1])) or estimate(*args),
+        )
+        neighbors = [sweep(state).neighbors for _ in range(3)]
+        assert [[level.rows.tolist() for level in step] for step in state.fixed.steps] == [
+            [[1, 3], [3]], [[4], [4]]
+        ]
+        assert cells == [2, 1, 1, 1, 1, 1]
+        for result in neighbors:
+            assert {r: d.tolist() for r, d in result.items()} == {1: [0], 3: [4], 4: [3]}
 
 
 class TestRunImpute:

@@ -28,7 +28,7 @@ from greyimpute.evaluate import (
 from greyimpute.folds import effective_fold_count, stratified_fold_ids, stratified_folds
 from greyimpute.io import SchemaConfig, read_csv
 
-from _oracles import oracle_joint_log_likelihood, oracle_nb_fit
+from _oracles import oracle_joint_log_likelihood, oracle_nb_fit, oracle_rmse
 from conftest import build_dataset, layouts
 
 NAN = float("nan")
@@ -92,6 +92,33 @@ class TestRmse:
             build_dataset(vals[perm]), build_dataset(imp[perm]), pos[perm]
         )
         assert a == pytest.approx(b)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_same_bits_as_the_cell_by_cell_sum(self, data):
+        # mixed columns, one cell up to a few thousand, errors of many
+        # magnitudes, so the order of the sum shows in the last bits
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n, p = data.draw(st.integers(1, 60)), data.draw(st.integers(1, 4))
+        levels = {j: ("a", "b", "c") for j in range(p) if data.draw(st.booleans())}
+        truth = rng.random((n, p)) * 10.0 ** rng.integers(-3, 4, p)
+        imputed = truth + rng.normal(size=(n, p)) * 10.0 ** rng.integers(-8, 1, (n, p))
+        for j in levels:
+            truth[:, j], imputed[:, j] = rng.integers(0, 3, n), rng.integers(0, 3, n)
+        positions = rng.random((n, p)) < 0.7
+        positions[rng.integers(0, n), rng.integers(0, p)] = True
+        t, i = build_dataset(truth, levels), build_dataset(imputed, levels)
+        assert rmse(t, i, positions) == oracle_rmse(t, i, positions)
+
+    def test_first_missing_cell_in_row_major_order_is_named(self):
+        truth = [[0.0, 1.0], [NAN, 0.5], [1.0, 0.0]]
+        imputed = [[0.0, NAN], [0.2, 0.5], [1.0, NAN]]
+        t, i, p = _truth_pair(truth, imputed, np.ones((3, 2)))
+        message = r"cell \(0, 1\) is missing on one side"
+        with pytest.raises(DataError, match=message):
+            oracle_rmse(t, i, p)
+        with pytest.raises(DataError, match=message):
+            rmse(t, i, p)
 
 
 class TestNaiveBayes:
