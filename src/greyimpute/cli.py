@@ -386,7 +386,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--out", default="report.json")
     sp.add_argument("--csv", default=None, help="also write a flat CSV table")
     sp.add_argument("--jobs", type=int, default=1,
-                    help="accepted for compatibility and ignored; cells run serially")
+                    help="accepted for compatibility and ignored; cells run on "
+                         "one worker process per available CPU")
     sp.add_argument("--no-timing", action="store_true",
                     help="zero the wall_time_ms fields for reproducible bytes")
     sp.set_defaults(func=_cmd_benchmark)

@@ -17,13 +17,15 @@ of a block of rows come from one broadcast. :func:`nb_predict` refuses a
 row of the wrong width, a non-finite cell or a categorical cell that is
 not a level code.
 
-:func:`benchmark` runs its cells one after another: the cells are
-interpreter-bound, so a thread pool over them measured slower than
-serial.
+:func:`benchmark` runs its cells on forked worker processes, one per
+available CPU: the cells are interpreter-bound, so a thread pool over
+them measured slower than serial.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 from dataclasses import dataclass, field, replace
 
@@ -335,16 +337,22 @@ def _run_cell(spec, method, rate, seed, truth, injected, baseline):
     return row
 
 
-def benchmark(spec: BenchmarkSpec) -> list[dict]:
-    """Run the full method x rate x seed sweep, one cell after another.
+def _exit_with_parent(parent: int) -> None:
+    """Worker initializer: end the worker once ``parent`` is gone, so a
+    benchmark killed mid-sweep leaves no idle worker behind."""
 
-    Per cell: retain the truth, inject missingness, impute, score RMSE
-    against the truth and accuracy by naive-Bayes CV. Failures are recorded
-    on their row without aborting the sweep; a no-imputation baseline that
-    cannot be fit marks every row of its (seed, rate). Output order is
-    canonical (method, rate, seed).
-    """
-    rows = []
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _cells(spec: BenchmarkSpec, failed: list):
+    """The sweep's cells as ``_run_cell`` arguments, made one (seed, rate)
+    at a time. The rows of a (seed, rate) whose no-imputation baseline
+    cannot be fit go to ``failed`` instead."""
     for seed in spec.seeds:
         truth, default_mar = _truth_for(spec, seed)
         for rate in spec.rates:
@@ -353,10 +361,58 @@ def benchmark(spec: BenchmarkSpec) -> list[dict]:
                 baseline = no_imputation_cv(injected, spec.config.folds, derive_seed(seed, 0xBA))
             except DataError as exc:
                 error = f"no-imputation baseline: {exc}"
-                rows.extend(_row(method, rate, seed, None, error) for method in spec.methods)
+                failed.extend(_row(method, rate, seed, None, error) for method in spec.methods)
                 continue
             for method in spec.methods:
-                rows.append(_run_cell(spec, method, rate, seed, truth, injected, baseline))
+                yield spec, method, rate, seed, truth, injected, baseline
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # macOS and Windows lack sched_getaffinity
+        return os.cpu_count() or 1
+
+
+def _map_cells(cells, workers: int) -> list[dict]:
+    """``_run_cell`` over ``cells``, in their order, on ``workers`` forked
+    processes that live for the call, one cell per task; a worker's
+    exception is raised here. With fewer than two workers, without fork,
+    or in a process that runs other threads, the cells run here, one at a
+    time: a fork copies only the calling thread, so a lock that another
+    thread holds would stay held in the worker."""
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [_run_cell(*cell) for cell in cells]
+    # imported here, so that serial runs and the other commands do not load them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_exit_with_parent, initargs=(os.getpid(),),
+    )
+    try:
+        futures = [pool.submit(_run_cell, *cell) for cell in cells]
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def benchmark(spec: BenchmarkSpec) -> list[dict]:
+    """Run the full method x rate x seed sweep.
+
+    Per cell: retain the truth, inject missingness, impute, score RMSE
+    against the truth and accuracy by naive-Bayes CV. Failures are recorded
+    on their row without aborting the sweep; a no-imputation baseline that
+    cannot be fit marks every row of its (seed, rate). The cells run on
+    one forked worker per available CPU, each timing its own
+    ``wall_time_ms``; the rows do not depend on the number of workers.
+    Output order is canonical (method, rate, seed).
+    """
+    failed = []
+    workers = min(_cpus(), len(spec.seeds) * len(spec.rates) * len(spec.methods))
+    rows = _map_cells(_cells(spec, failed), workers) + failed
     order = {m: i for i, m in enumerate(spec.methods)}
     rows.sort(key=lambda r: (order[Method(r["method"])], r["missing_rate"], r["seed"]))
     return rows

@@ -42,6 +42,8 @@ x1,x2,color,class
 """
 
 
+RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
+
 # the keys a benchmark spec file must hold
 BASE_SPEC = {"dataset": "cubes", "methods": ["meanmode"], "rates": [0.1], "seeds": [1]}
 
@@ -376,6 +378,17 @@ class TestBenchmarkCommand:
         assert main(argv + ["--out", _p(tmp_path / "serial.json")]) == 0
         assert main(argv + ["--jobs", "2", "--out", _p(tmp_path / "jobs.json")]) == 0
         assert (tmp_path / "serial.json").read_bytes() == (tmp_path / "jobs.json").read_bytes()
+
+    def test_two_workers_reproduce_the_committed_cube_report(self, tmp_path, monkeypatch):
+        """The committed report was made serially; its manifest's argv
+        differs, so only the report is compared."""
+        from greyimpute import evaluate
+
+        monkeypatch.setattr(evaluate, "_cpus", lambda: 2)
+        out = tmp_path / "report.json"
+        spec = RESULTS_DIR / "cube_mcar.spec.json"
+        assert main(["benchmark", _p(spec), "--no-timing", "--out", _p(out)]) == 0
+        assert out.read_bytes() == (RESULTS_DIR / "cube_mcar.report.json").read_bytes()
 
     def test_malformed_spec_is_data_error(self, tmp_path, capsys):
         (tmp_path / "spec.json").write_text('{"dataset":')

@@ -1,3 +1,9 @@
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import time
 from pathlib import Path
 from unittest.mock import patch
 
@@ -339,6 +345,10 @@ class TestNoImputationBaseline:
         assert 0.5 <= acc <= 1.0
 
 
+def _fail_naming_the_process(*args):
+    raise RuntimeError(f"cell failed in process {os.getpid()}")
+
+
 class TestBenchmark:
     def _small_spec(self, **kw):
         defaults = dict(
@@ -419,6 +429,100 @@ class TestBenchmark:
                 assert row["error"].startswith("no-imputation baseline: class 'versicolor' has")
                 assert row["baseline_accuracy"] is None and row["rmse"] is None
                 assert row["wall_time_ms"] == 0.0
+
+    def test_serial_cells_are_made_one_seed_and_rate_at_a_time(self, monkeypatch):
+        made, seen = [], []
+        inject = evaluate._inject
+        monkeypatch.setattr(evaluate, "_inject", lambda *args: made.append(args) or inject(*args))
+        monkeypatch.setattr(evaluate, "_run_cell", lambda *cell: seen.append(len(made)) or {})
+        evaluate._map_cells(evaluate._cells(self._small_spec(rates=(0.1, 0.2)), []), 1)
+        assert seen == [1, 1, 2, 2, 3, 3, 4, 4]
+
+    def test_rows_do_not_depend_on_the_worker_count(self, monkeypatch):
+        # several seeds; gknn cells fail on k (their DataError is on the
+        # row) and the rate-0.5 baselines of seeds 1 and 2 cannot be fit
+        config = SchemaConfig.from_text((DATA_DIR / "iris.schema.cfg").read_text())
+        iris = read_csv((DATA_DIR / "iris.csv").read_text(), config)
+        spec = BenchmarkSpec(
+            dataset=iris, methods=("meanmode", "gknn"), rates=(0.3, 0.5), seeds=(1, 2, 3),
+            mcar_columns=tuple(f.name for f in iris.schema.features),
+            config=ImputeConfig(k=150), timing=False,
+        )
+        monkeypatch.setattr(evaluate, "_cpus", lambda: 1)
+        serial = benchmark(spec)
+        errors = [row["error"] for row in serial]
+        assert "149 candidates for k=150" in errors and None in errors
+        assert any(e and e.startswith("no-imputation baseline:") for e in errors)
+        for cpus in (2, 3):
+            monkeypatch.setattr(evaluate, "_cpus", lambda cpus=cpus: cpus)
+            assert benchmark(spec) == serial
+            assert multiprocessing.active_children() == []
+
+    def test_workers_time_their_own_cells(self, monkeypatch):
+        monkeypatch.setattr(evaluate, "_cpus", lambda: 2)
+        rows = benchmark(self._small_spec(methods=("meanmode",), timing=True))
+        assert len(rows) == 2 and all(row["wall_time_ms"] > 0 for row in rows)
+
+    def test_a_worker_error_that_is_not_a_data_error_is_raised(self, monkeypatch):
+        monkeypatch.setattr(evaluate, "run_impute", _fail_naming_the_process)
+        spec = self._small_spec(seeds=(1, 2, 3))
+        monkeypatch.setattr(evaluate, "_cpus", lambda: 1)
+        with pytest.raises(RuntimeError, match=f"process {os.getpid()}$"):
+            benchmark(spec)
+        monkeypatch.setattr(evaluate, "_cpus", lambda: 2)
+        with pytest.raises(RuntimeError, match="cell failed in process") as raised:
+            benchmark(spec)
+        assert not str(raised.value).endswith(f" {os.getpid()}")  # raised in a worker
+        assert multiprocessing.active_children() == []
+
+    def test_a_process_with_other_threads_runs_the_cells_itself(self, monkeypatch):
+        monkeypatch.setattr(evaluate, "run_impute", _fail_naming_the_process)
+        monkeypatch.setattr(evaluate, "_cpus", lambda: 2)
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            with pytest.raises(RuntimeError, match=f"process {os.getpid()}$"):
+                benchmark(self._small_spec())
+        finally:
+            stop.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states in /proc")
+    def test_workers_exit_when_the_benchmark_process_is_killed(self):
+        script = (
+            "import os, time\n"
+            "from greyimpute import evaluate\n"
+            "def stall(*args):\n"
+            "    os.write(1, f'{os.getpid()}\\n'.encode())  # one write: the workers share the pipe\n"
+            "    time.sleep(60)\n"
+            "evaluate.run_impute = stall\n"
+            "evaluate._cpus = lambda: 2\n"
+            "evaluate.benchmark(evaluate.BenchmarkSpec('cubes', ('meanmode',), (0.1, 0.2), (1,)))\n"
+        )
+        src = str(Path(evaluate.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True, env=env)
+        try:
+            workers = [int(proc.stdout.readline()) for _ in range(2)]
+        finally:
+            proc.kill()
+            proc.wait(timeout=30)
+            proc.stdout.close()
+
+        def alive(pid):  # a zombie has exited, whether or not it is reaped
+            try:
+                stat = Path(f"/proc/{pid}/stat").read_text()
+            except FileNotFoundError:
+                return False
+            return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+        deadline = time.monotonic() + 20
+        while any(map(alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not any(map(alive, workers))
 
     def test_failures_recorded_not_raised(self):
         # k larger than any candidate pool forces a per-cell failure
