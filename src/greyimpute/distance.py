@@ -28,7 +28,10 @@ grade plus the total light weight, and a proven bound on the partial's
 rounding, could still reach the k-th best partial grade. Coefficients
 lie in [0, 1], so no pruned candidate can enter the k nearest, and
 survivors are scored by the same per-feature float64 code as
-``distances``, bit for bit.
+``distances``, bit for bit. The screen takes queries in tiles whose
+float32 arrays stay in a core's L2 cache, and gathers survivors from a
+feature-major copy of the candidates in cache-sized steps; every step
+works per pair or per query, so neither size moves a bit.
 
 Missing cells are NaN throughout; candidate rows must be complete.
 ``own[i]``, where given, is query i's own row of the candidates (equal to
@@ -37,6 +40,8 @@ the same bits as with that row deleted.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -49,6 +54,11 @@ __all__ = [
 
 # bytes of float64 work arrays one kernel call may hold
 BLOCK_BYTES = 16 * 2**20
+
+# bytes of work arrays one tile of the screen holds (its two float32 partial
+# grade arrays, or the float64 gaps and query cells of a step of survivors),
+# so that they stay in a core's L2 cache from tile to tile
+_TILE_BYTES = 2**20
 
 # unit roundoff of float32, the precision of the screen's partial grades
 U32 = 2.0**-24
@@ -273,6 +283,10 @@ class GreyScreen:
     def __init__(self, metric: GreyMetric, candidates: np.ndarray, heavy, light: float):
         self.metric = metric
         self.candidates = np.asarray(candidates, dtype=float)
+        n, p = self.candidates.shape
+        # survivors are gathered from this feature-major copy, so the
+        # grade reads each feature's gaps as one contiguous slab
+        self.cols = np.ascontiguousarray(self.candidates.T)
         self.continuous = ~metric.categorical
         self.columns = np.sort(self.candidates[:, self.continuous], axis=0).T
         total = float(metric.weights.sum())
@@ -286,13 +300,34 @@ class GreyScreen:
         self.cont_max = np.abs(self.candidates[:, self.cont]).max(axis=0)
         self.cat, self.cat_share = heavy[cat], share[cat].astype(np.float32)
         self.cat_cols = np.ascontiguousarray(self.candidates[:, self.cat].T)
+        # queries per tile (two float32 arrays of a tile's pairs) and
+        # survivors per step (their gaps and query cells, p floats each)
+        self.tile = max(1, _TILE_BYTES // (8 * n))
+        self.step = max(1, _TILE_BYTES // (16 * p))
+        self._work = threading.local()
 
-    def _partial(self, queries, top, rdmax):
+    def _arrays(self):
+        """The calling thread's work arrays, made at its first call and
+        reused by every tile, step and call after (fresh ones would fault
+        their pages in anew): a tile's float32 grades and terms, and a
+        step's gaps, query cells and missing query cells."""
+        arrays = getattr(self._work, "arrays", None)
+        if arrays is None:
+            p, n = self.cols.shape
+            arrays = self._work.arrays = (
+                np.empty((2, self.tile, n), np.float32),
+                np.empty((2, p * self.step)),
+                np.empty(p * self.step, bool),
+            )
+        return arrays
+
+    def _partial(self, queries, top, rdmax, acc, term):
         """The float32 partial grade share of each query against every
-        candidate, (queries x candidates), and each query's bound e on its
-        rounding error; ``top`` is dmin + rho*dmax, ``rdmax`` rho*dmax."""
-        acc = np.zeros((len(queries), len(self.candidates)), np.float32)
-        term = np.empty_like(acc)
+        candidate, summed into ``acc`` (queries x candidates), which it
+        returns with each query's bound e on its rounding error; ``term``
+        holds one feature's terms, of that shape; ``top`` is dmin +
+        rho*dmax, ``rdmax`` rho*dmax."""
+        acc.fill(0.0)
         err = np.full(len(queries), self.summing)
         inside = (top >= 2.0**-100) & (top <= 2.0**100)
         for col, cmax, share, q in zip(
@@ -316,29 +351,50 @@ class GreyScreen:
 
     def nearest(self, queries: np.ndarray, k: int, own=None):
         """(distances, indices) of each query's k nearest candidates other
-        than its ``own``, ascending by (distance, index); both (queries x k)."""
+        than its ``own``, ascending by (distance, index); both (queries x k).
+
+        Queries go in tiles of :attr:`tile` rows and a tile's survivors are
+        scored :attr:`step` at a time, in work arrays each thread reuses
+        (:meth:`_arrays`). Each step reads only its own queries' rows, so
+        the cut, the survivors and the bits do not depend on either size."""
         metric = self.metric
         dmin, dmax = _sorted_bounds(queries, self.columns, self.continuous, own is not None)
         rdmax = metric.rho * dmax
-        partial, err = self._partial(queries, dmin + rdmax, rdmax)
-        _mark_own(partial, own, -np.inf)
-        n = partial.shape[1]
-        cut = np.partition(partial, n - k, axis=1)[:, n - k] - (self.slack + 2.0 * err)
-        # the smallest float32 at or above each cut keeps exactly the same pairs
-        cut32 = cut.astype(np.float32)
-        cut32 = np.where(cut32 < cut, np.nextafter(cut32, np.float32(np.inf)), cut32)
-        qi, ci = np.divmod(np.flatnonzero(partial >= cut32[:, None]), n)
-        del partial
-        qnan = np.isnan(queries).T
-        d = np.empty(len(qi))
-        # the gaps and the two gathered row blocks, p floats each per pair
-        step = block_rows(1, 3 * len(metric.categorical) + 2)
-        for s in range(0, len(qi), step):
-            a, b = qi[s:s + step], ci[s:s + step]
-            g = np.subtract(self.candidates[b].T, queries[a].T)
-            grade = metric._grade(np.abs(g, out=g), qnan[:, a], dmin[a], rdmax[a])
-            d[s:s + step] = np.subtract(1.0, grade, out=grade)
-        order = np.lexsort((d, qi))  # stable: ties stay in candidate order
-        counts = np.bincount(qi, minlength=len(queries))
-        take = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
-        return d[take], ci[take]
+        top = dmin + rdmax
+        qcols = np.ascontiguousarray(queries.T)
+        (p, m), n = qcols.shape, len(self.candidates)
+        dist, idx = np.empty((m, k)), np.empty((m, k), np.intp)
+        tiles, steps, holes = self._arrays()
+        for lo in range(0, m, self.tile):
+            hi = min(lo + self.tile, m)
+            acc, term = tiles[:, :hi - lo]
+            partial, err = self._partial(queries[lo:hi], top[lo:hi], rdmax[lo:hi], acc, term)
+            _mark_own(partial, None if own is None else own[lo:hi], -np.inf)
+            np.copyto(term, partial)
+            term.partition(n - k, axis=1)
+            cut = term[:, n - k] - (self.slack + 2.0 * err)
+            # the smallest float32 at or above each cut keeps exactly the same pairs
+            cut32 = cut.astype(np.float32)
+            cut32 = np.where(cut32 < cut, np.nextafter(cut32, np.float32(np.inf)), cut32)
+            qi, ci = np.divmod(np.flatnonzero(partial >= cut32[:, None]), n)
+            d = np.empty(len(qi))
+            for s in range(0, len(qi), self.step):
+                a, b = qi[s:s + self.step] + lo, ci[s:s + self.step]
+                g, x = steps[:, :p * len(a)].reshape(2, p, len(a))
+                gone = holes[:p * len(a)].reshape(p, len(a))
+                # mode "clip" writes into out directly (the indices are in range)
+                np.take(self.cols, b, axis=1, out=g, mode="clip")
+                np.take(qcols, a, axis=1, out=x, mode="clip")
+                np.abs(np.subtract(g, x, out=g), out=g)
+                grade = metric._grade(g, np.isnan(x, out=gone), dmin[a], rdmax[a])
+                np.subtract(1.0, grade, out=d[s:s + len(a)])
+            # ascending by (query, distance, candidate), as np.lexsort((d, qi))
+            # orders them: the key is unique (and fits int64, as a tile holds
+            # at most max(n, 2**17) pairs), so an unstable sort of it gives
+            # that order, faster
+            rank = np.unique(d, return_inverse=True)[1]
+            order = np.argsort((qi * len(d) + rank) * len(d) + np.arange(len(d)))
+            counts = np.bincount(qi, minlength=hi - lo)
+            take = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+            dist[lo:hi], idx[lo:hi] = d[take], ci[take]
+        return dist, idx

@@ -31,6 +31,8 @@ estimates are distance-weighted.
 from __future__ import annotations
 
 import enum
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,6 +219,19 @@ def initial_impute(dataset: Dataset, per_class: bool = False) -> Dataset:
     return dataset.with_values(vals)
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on; one in a worker of a
+    multiprocessing pool (a forked benchmark cell), whose siblings take
+    the others."""
+    mp = sys.modules.get("multiprocessing")  # a pool's worker has loaded it
+    if mp is not None and mp.parent_process() is not None:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # macOS and Windows lack sched_getaffinity
+        return os.cpu_count() or 1
+
+
 def _nearest(d: np.ndarray, k: int) -> np.ndarray:
     """Column indices of each row's k smallest entries, ascending by
     (value, index): exactly ``np.argsort(d, axis=1, kind="stable")[:, :k]``.
@@ -246,33 +261,52 @@ def _ranked_blocks(metric, queries, candidates, k, own=None):
     block through its :class:`~greyimpute.distance.GreyScreen`, which
     scores in full only the candidates a float32 partial grade over the
     heavy features cannot rule out, each query's cut lowered by a proven
-    bound on that grade's rounding; the result is the same bits. Screened
-    blocks are sized for the survivors' arrays should every pair survive,
-    which is more than the float32 grades take. A lone query is
-    scored in full, which costs less than sorting the candidate columns.
+    bound on that grade's rounding; the result is the same bits. The
+    screen takes a block in cache-sized tiles of queries and scores their
+    survivors in cache-sized steps, so its own arrays do not grow with the
+    block; screened blocks are sized as four 8-byte values per pair. A
+    lone query is scored in full, which costs less than sorting the
+    candidate columns.
     Unscreened queries with an ``own`` row (the sweeps' fixed rows) go at
     most :data:`FIXED_BLOCK` per block. The sweeps rank their moving rows
     themselves."""
+    return _ranked_runs(metric, queries, candidates, k, own)[0]
+
+
+def _ranked_runs(metric, queries, candidates, k, own=None, runs=1):
+    """:func:`_ranked_blocks` over contiguous runs of the queries, one
+    generator each: ``runs`` of them, or as many as the queries fill
+    blocks of the full budget if that is fewer, and one if there is no
+    query. Each run's blocks get BLOCK_BYTES / runs, so the runs hold no
+    more at once than one run of full blocks would. The screen, if any, is
+    made once and only read, so the runs may go on threads of their own;
+    a query's neighbors do not depend on its block or run."""
     lone = len(queries) < 2
     screen = metric.screen(candidates) if isinstance(metric, GreyMetric) and not lone else None
     # 8-byte values per (query, candidate) pair: the full kernel's gaps for
-    # every feature and four more; the screen's four should every pair
-    # survive its cut (query and candidate indices, distances, their
-    # order), more than its float32 partial grades, one feature's float32
-    # terms and a bool mask take (9 bytes)
-    width = candidates.shape[1] if screen is None else 0
-    step = block_rows(len(candidates), width + 4)
+    # every feature and four more; the screen's four, what its survivors'
+    # arrays (query and candidate indices, distances, their order) would
+    # take should every pair of a block survive at once
+    width = (candidates.shape[1] if screen is None else 0) + 4
+    blocks = -(-len(queries) // block_rows(len(candidates), width))
+    runs = max(1, min(runs, blocks))
+    step = block_rows(len(candidates), width * runs)
     if screen is None and own is not None:
         step = min(step, FIXED_BLOCK)
-    for start in range(0, len(queries), step):
-        block = queries[start:start + step]
-        mine = None if own is None else own[start:start + step]
-        if screen is None:
-            d = metric.distances(block, candidates, mine)
-            nearest = _nearest(d, k)
-            yield start, d[np.arange(len(d))[:, None], nearest], nearest
-        else:
-            yield (start, *screen.nearest(block, k, mine))
+
+    def ranked(lo, hi):
+        for start in range(lo, hi, step):
+            block = queries[start:min(start + step, hi)]
+            mine = None if own is None else own[start:start + len(block)]
+            if screen is None:
+                d = metric.distances(block, candidates, mine)
+                nearest = _nearest(d, k)
+                yield start, d[np.arange(len(d))[:, None], nearest], nearest
+            else:
+                yield (start, *screen.nearest(block, k, mine))
+
+    edges = [len(queries) * i // runs for i in range(runs + 1)]
+    return [ranked(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
 def _cv_errors(values, labels, metric, grid, folds, seed) -> dict[int, int]:
@@ -737,9 +771,16 @@ def impute_test(result: ImputationResult, test: Dataset) -> Dataset:
 
     Neighbors are ranked over all training rows (the class is unknown at
     test time) with the training feature weights; there is no iteration.
-    Incomplete test rows are ranked in blocks of fixed byte size, through
-    the exact screen of :func:`_ranked_blocks` where the weights allow it,
-    and each block's gap cells are estimated in one array pass.
+    The incomplete test rows are cut into one contiguous chunk per
+    available CPU (:func:`_cpus`), no more chunks than blocks of fixed
+    byte size they fill, and each chunk runs on a thread of its own,
+    joined before the call returns. A chunk is ranked in blocks of the
+    byte budget over the chunk count, through the exact screen of
+    :func:`_ranked_blocks` where the weights allow it, and each block's gap
+    cells are estimated in one array pass. A row's neighbors and estimate
+    do not depend on its block or chunk, and it writes only its own cells,
+    so every chunk count gives the same bits; numpy releases the
+    interpreter lock in these array loops, so the chunks run at once.
     A non-iterative method (mean/mode) fills every gap with the
     :func:`column_fill` of the completed training matrix, which is the
     value its fit wrote into that column's missing training cells.
@@ -760,10 +801,22 @@ def impute_test(result: ImputationResult, test: Dataset) -> Dataset:
         if train.n < k:
             raise InsufficientCandidatesError(f"{train.n} training rows for k={k}")
         rows = np.nonzero(~test.mask.all(axis=1))[0]
-        # each row's estimate writes only that row, so a block's queries
-        # may all be read before any of them is filled
-        for start, dist, nearest in _ranked_blocks(result.metric, unit[rows], donors, k):
-            block = rows[start:start + len(dist)]
-            gaps = _gap_cells(test.mask[block], result.metric.categorical)
-            unit[block[gaps[0]], gaps[1]] = _estimate_rows(donors, nearest, dist, gaps, weighted)
+        cat = result.metric.categorical
+
+        def fill(blocks):
+            for start, dist, nearest in blocks:
+                block = rows[start:start + len(dist)]
+                gaps = _gap_cells(test.mask[block], cat)
+                est = _estimate_rows(donors, nearest, dist, gaps, weighted)
+                unit[block[gaps[0]], gaps[1]] = est
+
+        # the queries are a copy, so they may all be read before any is filled
+        runs = _ranked_runs(result.metric, unit[rows], donors, k, runs=_cpus())
+        if len(runs) == 1:
+            fill(runs[0])
+        else:
+            from concurrent.futures import ThreadPoolExecutor  # loaded only when it runs
+
+            with ThreadPoolExecutor(len(runs)) as pool:
+                list(pool.map(fill, runs))
     return _completed(test, ranges, unit)

@@ -18,8 +18,10 @@ row of the wrong width, a non-finite cell or a categorical cell that is
 not a level code.
 
 :func:`benchmark` runs its cells on forked worker processes, one per
-available CPU: the cells are interpreter-bound, so a thread pool over
-them measured slower than serial.
+available CPU: a cell is interpreter-bound, so a thread pool over the
+cells measured slower than serial. (Threads pay off where array loops
+that release the interpreter lock dominate, as in
+:func:`~greyimpute.engine.impute_test`.)
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 from ._rng import derive_seed
 from .dataset import Dataset, RangeTable
 from .distance import block_rows
-from .engine import ImputeConfig, Method, column_fill, run_impute
+from .engine import ImputeConfig, Method, _cpus, column_fill, run_impute
 from .errors import (
     DataError,
     DegenerateClassError,
@@ -365,14 +367,6 @@ def _cells(spec: BenchmarkSpec, failed: list):
                 continue
             for method in spec.methods:
                 yield spec, method, rate, seed, truth, injected, baseline
-
-
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # macOS and Windows lack sched_getaffinity
-        return os.cpu_count() or 1
 
 
 def _map_cells(cells, workers: int) -> list[dict]:

@@ -343,7 +343,8 @@ def test_criterion_8_complexity_sanity():
             failures.append(
                 f"{a}->{b} measured {measured:.2f}x exceeds 2x the n^2 log n prediction {predicted:.2f}x"
             )
-    _verdict("C8 complexity sanity", failures, "; ".join(details))
+    # the measured ratios differ from run to run, so only a failure prints them
+    _verdict("C8 complexity sanity", failures, "; ".join(details) if failures else "")
 
 
 def test_impute_memory_grows_at_most_linearly():

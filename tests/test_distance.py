@@ -358,6 +358,45 @@ def adversarial_case(draw):
     return candidates, queries, own, cat, heavy, weights, rho, k
 
 
+@st.composite
+def tiled_case(draw):
+    """Enough queries on a coarse grid for several tiles, a categorical
+    heavy feature (feature 0), a NaN query cell, two equal candidate rows
+    (distance ties), queries that may be candidate rows with holes
+    (``own``), and k up to candidates - 1; the weights engage
+    :meth:`GreyMetric.screen`."""
+    p = draw(st.integers(4, 8))
+    n = draw(st.integers(3, 25))
+    m = draw(st.integers(2, 12))
+    levels = draw(st.integers(1, 4))
+    cat = np.array([True] + draw(st.lists(st.booleans(), min_size=p - 1, max_size=p - 1)))
+    grid = st.lists(st.integers(0, levels), min_size=n * p, max_size=n * p)
+    candidates = np.array(draw(grid), dtype=float).reshape(n, p)
+    candidates[:, ~cat] /= levels
+    candidates[draw(st.integers(1, n - 1))] = candidates[0]
+    own = None
+    if draw(st.booleans()):
+        own = np.array(draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)))
+        queries = candidates[own].copy()
+    else:
+        grid = st.lists(st.integers(0, levels), min_size=m * p, max_size=m * p)
+        queries = np.array(draw(grid), dtype=float).reshape(m, p)
+        queries[:, ~cat] /= levels
+    holes = draw(st.lists(st.sampled_from([False, False, True]), min_size=m * p, max_size=m * p))
+    queries[np.array(holes).reshape(m, p)] = NAN
+    queries[draw(st.integers(0, m - 1)), draw(st.integers(0, p - 1))] = NAN
+    heavy = np.arange(p) < draw(st.integers(1, p // 4))
+    light = draw(st.sampled_from([0.0, 0.5, 0.99])) / p
+    b = np.array(draw(st.lists(st.integers(0, 3), min_size=p, max_size=p)), dtype=float)
+    b[heavy] = 0.0
+    weights = np.where(heavy, (1.0 - light) / heavy.sum(), 0.0)
+    if b.sum() > 0:
+        weights += light * b / b.sum()
+    rho = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    k = draw(st.one_of(st.just(n - 1), st.integers(1, n - 1)))
+    return candidates, queries, own, cat, weights, rho, k
+
+
 class CountingGrey(GreyMetric):
     calls = 0
 
@@ -397,6 +436,25 @@ class TestScreen:
         candidates, queries, own, cat, heavy, weights, rho, k = case
         metric = GreyMetric(cat, rho, weights)
         screen = GreyScreen(metric, candidates, np.flatnonzero(heavy), float(weights[~heavy].sum()))
+        dist, nearest = screen.nearest(queries, k, own)
+        d = metric.distances(queries, candidates, own)
+        expected = _nearest(d, k)
+        assert np.array_equal(nearest, expected)
+        assert dist.tobytes() == np.take_along_axis(d, expected, axis=1).tobytes()
+
+    @pytest.mark.parametrize("tile", [1, 3, None])
+    @pytest.mark.parametrize("step", [1, None])
+    @given(case=tiled_case())
+    @settings(max_examples=100, deadline=None)
+    def test_tiles_and_steps_give_the_full_kernel_bits(self, tile, step, case):
+        # one or three queries per tile or the default tiles, one survivor
+        # per step or the default steps: each tile cuts from its own rows
+        candidates, queries, own, cat, weights, rho, k = case
+        metric = GreyMetric(cat, rho, weights)
+        screen = metric.screen(candidates)
+        assert screen is not None and 1 < len(queries) <= screen.tile
+        screen.tile = tile or screen.tile
+        screen.step = step or screen.step
         dist, nearest = screen.nearest(queries, k, own)
         d = metric.distances(queries, candidates, own)
         expected = _nearest(d, k)

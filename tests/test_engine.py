@@ -1,4 +1,7 @@
 import dataclasses
+import multiprocessing
+import threading
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -1045,6 +1048,114 @@ class TestImputeTest:
         test = build_dataset(rng.random((2, 2)))
         with pytest.raises(SchemaMismatchError):
             impute_test(result, test)
+
+
+class TestImputeTestThreads:
+    """:func:`impute_test` cuts its incomplete rows into one chunk per CPU,
+    no more than the blocks they fill, each on a thread of its own: every
+    CPU count gives the same bits, an error is raised as it is serially,
+    and no thread outlives the call."""
+
+    LEVELS = {1: ("a", "b", "c")}
+
+    def _fit(self, rng, method):
+        table = screened_table if method == "cgknn" else tied_table
+        values, labels, *rest = table(rng, 120)
+        values[rng.random(values.shape) < 0.1] = NAN
+        train = build_dataset(values, self.LEVELS, labels=labels)
+        config = ImputeConfig(method=method, k=3, seed=1)
+        weights = rest[1] if method == "cgknn" else None
+        result = run_plan(train, config, PLANS[Method(method)], weights_override=weights)
+        donors = result.ranges.to_unit(result.completed.values)
+        screen = result.metric.screen(donors) if isinstance(result.metric, GreyMetric) else None
+        assert (screen is not None) == (method == "cgknn")
+        queries = table(rng, 60)[0]
+        queries[rng.random(queries.shape) < 0.3] = NAN
+        return result, queries
+
+    @staticmethod
+    def _chunks(monkeypatch):
+        """The chunk count of each call, and whether a pool thread, not
+        the calling one, estimated cells in it."""
+        calls, runs, estimate = [], engine._ranked_runs, engine._estimate_rows
+
+        def counted(*args, **kwargs):
+            out = runs(*args, **kwargs)
+            calls.append([len(out), False])
+            return out
+
+        def estimated(*args):
+            calls[-1][1] |= threading.current_thread() is not threading.main_thread()
+            return estimate(*args)
+
+        monkeypatch.setattr(engine, "_ranked_runs", counted)
+        monkeypatch.setattr(engine, "_estimate_rows", estimated)
+        return calls
+
+    @pytest.mark.parametrize("method", ["cgknn", "iknn", "gknn"])
+    def test_every_cpu_count_gives_the_same_bits(self, rng, monkeypatch, method):
+        result, queries = self._fit(rng, method)
+        assert np.isnan(queries[:, 1]).any()  # categorical gaps
+        complete = np.round(rng.random((5, queries.shape[1])), 1)
+        complete[:, 1] = 2.0
+        # blocks of a few rows, so the 60 queries fill more blocks than CPUs
+        monkeypatch.setattr(distance, "BLOCK_BYTES", 50_000)
+        calls = self._chunks(monkeypatch)
+        # an empty batch returns before ranking; one with no incomplete row
+        # ranks no query, in one chunk
+        for batch, blocks in ((queries, 3), (queries[:0], 0), (complete, 1), (queries[:2], 1)):
+            test = build_dataset(batch, self.LEVELS)
+            outs = []
+            for cpus in (1, 2, 3):
+                monkeypatch.setattr(engine, "_cpus", lambda cpus=cpus: cpus)
+                calls.clear()
+                outs.append(impute_test(result, test).values.tobytes())
+                chunks = min(cpus, blocks)
+                assert calls == ([[chunks, chunks > 1]] if blocks else [])
+            assert outs[0] == outs[1] == outs[2]
+
+    def test_a_data_error_in_a_chunk_is_raised_as_serially(self, rng, monkeypatch):
+        result, queries = self._fit(rng, "iknn")
+        # two marked rows, in the second and third of three chunks; the
+        # serial order meets the first one first
+        queries[[30, 50], 0] = [0.33, 0.67]
+        queries[[30, 50], 2] = NAN
+        marks = result.ranges.to_unit(queries)[[30, 50], 0]
+
+        class Failing(HeomMetric):
+            def distances(self, block, candidates, own=None):
+                for mark in marks:
+                    if (block[:, 0] == mark).any():
+                        raise DataError(f"row marked {float(mark)}")
+                return super().distances(block, candidates, own)
+
+        failing = dataclasses.replace(result, metric=Failing(result.metric.categorical))
+        test = build_dataset(queries, self.LEVELS)
+        monkeypatch.setattr(distance, "BLOCK_BYTES", 50_000)
+        calls = self._chunks(monkeypatch)
+        before = threading.active_count()
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(engine, "_cpus", lambda cpus=cpus: cpus)
+            with pytest.raises(DataError) as raised:
+                impute_test(failing, test)
+            assert str(raised.value) == f"row marked {float(marks[0])}"
+            assert threading.active_count() == before
+        assert calls == [[1, False], [2, True], [3, True]]
+
+    def test_no_thread_outlives_the_call(self, rng, monkeypatch):
+        result, queries = self._fit(rng, "cgknn")
+        monkeypatch.setattr(distance, "BLOCK_BYTES", 50_000)
+        monkeypatch.setattr(engine, "_cpus", lambda: 3)
+        calls = self._chunks(monkeypatch)
+        before = threading.active_count()
+        impute_test(result, build_dataset(queries, self.LEVELS))
+        assert calls == [[3, True]]
+        assert threading.active_count() == before
+
+    def test_a_pool_worker_counts_one_cpu(self):
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+            assert pool.submit(engine._cpus).result(timeout=60) == 1
+        assert engine._cpus() >= 1
 
 
 class TestCubeScenarioRegression:

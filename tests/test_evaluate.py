@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greyimpute import evaluate
+from greyimpute import distance, engine, evaluate
 from greyimpute.engine import ImputeConfig
 from greyimpute.errors import (
     DataError,
@@ -31,8 +31,10 @@ from greyimpute.evaluate import (
     no_imputation_cv,
     rmse,
 )
+from greyimpute.estimator import GreyKNNImputer
 from greyimpute.folds import effective_fold_count, stratified_fold_ids, stratified_folds
 from greyimpute.io import SchemaConfig, read_csv
+from greyimpute.synth import gen_cubes, inject_mcar
 
 from _oracles import oracle_joint_log_likelihood, oracle_nb_fit, oracle_rmse
 from conftest import build_dataset, layouts
@@ -488,6 +490,31 @@ class TestBenchmark:
             stop.set()
             other.join(timeout=10)
         assert not other.is_alive()
+
+    def test_a_benchmark_after_a_threaded_transform_runs_on_the_workers(self, monkeypatch):
+        # transform's threads are joined inside the call, so the benchmark
+        # still forks instead of running its cells in this process
+        cubes = gen_cubes(1)
+        holes = inject_mcar(cubes, ["x1", "x2"], 0.3, 5).values
+        monkeypatch.setattr(distance, "BLOCK_BYTES", 50_000)
+        monkeypatch.setattr(engine, "_cpus", lambda: 2)
+        chunks, runs = [], engine._ranked_runs
+
+        def counted(*args, **kwargs):
+            out = runs(*args, **kwargs)
+            chunks.append(len(out))
+            return out
+
+        monkeypatch.setattr(engine, "_ranked_runs", counted)
+        imputer = GreyKNNImputer(method="gknn", n_neighbors=3).fit(cubes.values, cubes.labels)
+        imputer.transform(holes)
+        assert chunks[-1] == 2
+        monkeypatch.setattr(evaluate, "run_impute", _fail_naming_the_process)
+        monkeypatch.setattr(evaluate, "_cpus", lambda: 2)
+        with pytest.raises(RuntimeError, match="cell failed in process") as raised:
+            benchmark(self._small_spec())
+        assert not str(raised.value).endswith(f" {os.getpid()}")  # raised in a worker
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states in /proc")
     def test_workers_exit_when_the_benchmark_process_is_killed(self):
